@@ -164,15 +164,12 @@ def cmd_generate(args):
         print(f"  (none: {trace.error})")
     from fractions import Fraction
 
-    from .kb import execute
-
     for r in trace.results:
-        answer = execute(r.query, kb)
-        if answer.is_aggregate:
-            agg = answer.aggregate
+        if r.answers.is_aggregate:
+            agg = r.answers.aggregate
             shown = f"{float(agg):g}" if isinstance(agg, Fraction) else agg
         else:
-            shown = sorted(answer.values)
+            shown = sorted(r.answers.values)
         print(f"  {serialize_query(r.query)}")
         print(f"    -> {shown}")
 

@@ -261,8 +261,6 @@ class PipelineConfig:
             raise ValueError("predictor must be bilstm, bow or oracle")
         if self.linking not in ("gold", "gazetteer"):
             raise ValueError("linking must be gold or gazetteer")
-        if self.linking == "gazetteer" and self.predictor == "oracle":
-            pass  # allowed: oracle structure scores with linker candidates
 
 
 @dataclass
@@ -423,10 +421,10 @@ def evaluate_questions(generator: QueryGenerator, test_pairs, kb: KnowledgeBase,
         hit1 = hit5 = False
         predicted = None
         if trace.results:
-            predicted = execute(trace.results[0].query, kb)
+            predicted = trace.results[0].answers
             f1 = answer_f1(predicted, gold_answers)
             for i, res in enumerate(trace.results[:5]):
-                if answer_f1(execute(res.query, kb), gold_answers) == 1.0:
+                if answer_f1(res.answers, gold_answers) == 1.0:
                     hit5 = True
                     if i == 0:
                         hit1 = True

@@ -39,6 +39,7 @@ from .graph import (
     user,
 )
 from .kb import (
+    AnswerSet,
     KnowledgeBase,
     NonNumericAggregateError,
     UnboundTargetError,
@@ -83,6 +84,7 @@ class GroundingResult:
     linking_score: float
     structure_rank: int
     structure_score: float
+    answers: AnswerSet
 
     def __hash__(self):
         return hash((self.structure_key, self.linking_score))
@@ -277,9 +279,10 @@ def ground(ranked_structures: list[ScoredStructure],
                 if not check_domain_range(grounded, kb):
                     continue
                 try:
-                    if execute(grounded, kb).is_empty:
-                        continue
+                    answers = execute(grounded, kb)
                 except (NonNumericAggregateError, UnboundTargetError):
+                    continue
+                if answers.is_empty:
                     continue
                 try:
                     dedupe = serialize_query(grounded)
@@ -291,7 +294,7 @@ def ground(ranked_structures: list[ScoredStructure],
                 results.append(GroundingResult(
                     grounded, scored.key,
                     {f"{kind}:{name}": sym for (kind, name), sym in assignment.items()},
-                    lscore, rank, scored.score))
+                    lscore, rank, scored.score, answers))
                 if len(results) >= top_k:
                     break
         if len(results) >= top_k:

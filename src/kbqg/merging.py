@@ -9,17 +9,38 @@ threshold; each round merges every predicted-contained substructure with
 every current candidate, keeps results that are connected, small enough
 and score above the threshold, and the final output is the union of all
 rounds.
+
+The work per round is cut in two ways, neither of which changes the
+output:
+
+* Restrictions first. Connectivity, the triple cap tau and the
+  aggregation cap delta do not change under renaming, so ``merge_pair``
+  checks them on the raw union and canonicalizes only the survivors. A
+  union with no unified vertex is always disconnected and is never
+  built, and a vertex unification that cannot bring the union down to
+  tau triples is skipped before any label unification is tried.
+* Scoring by embedding. A merge contains every frequent substructure
+  that either input contains, so those are known without a test. Each
+  other frequent substructure is embedded into the candidate
+  (``is_substructure``), smallest first, instead of enumerating and
+  canonicalizing every connected triple subset of the candidate. By
+  downward closure, a substructure with an absent frequent part is
+  absent without a test, and a present one brings its frequent parts
+  along. The resulting containment pattern is scored exactly as
+  ``rank_existing`` scores a mined structure.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .canon import StructureKey, canonical_form
+from .canon import StructureKey, canonical_form, is_substructure
 from .graph import (
     AGG_CONNECTORS,
     AGG_RESULT,
+    AGGREGATION_LABELS,
     GraphError,
     QueryGraph,
     Triple,
@@ -27,8 +48,8 @@ from .graph import (
     build_graph,
     user,
 )
-from .mining import SubstructureCatalog
-from .ranking import MERGED, ScoredStructure, containment_pattern, score_containment
+from .mining import SubstructureCatalog, contained_frequent_keys, graph_to_json
+from .ranking import MERGED, ScoredStructure, score_containment
 
 
 @dataclass(frozen=True)
@@ -51,11 +72,13 @@ class MergeConfig:
             raise ValueError("bad tau/delta")
 
 
+def _aggregations(triples, count_order_as_agg: bool) -> int:
+    labels = AGGREGATION_LABELS if count_order_as_agg else AGG_CONNECTORS
+    return sum(1 for t in triples if t.label.is_builtin and t.label.builtin in labels)
+
+
 def aggregation_count(g: QueryGraph, count_order_as_agg: bool = True) -> int:
-    labels = set(AGG_CONNECTORS)
-    if count_order_as_agg:
-        labels |= {"MAXATN", "MINATN"}
-    return sum(1 for t in g.triples if t.label.is_builtin and t.label.builtin in labels)
+    return _aggregations(g.triples, count_order_as_agg)
 
 
 def passes_restrictions(g: QueryGraph, cfg: MergeConfig) -> bool:
@@ -82,66 +105,96 @@ def _unifiable(a: QueryGraph, va: Vertex, b: QueryGraph, vb: Vertex) -> bool:
     return a.order_values.get(va.id, "") == b.order_values.get(vb.id, "")
 
 
+def _injective(pairs) -> bool:
+    return (len({p[0] for p in pairs}) == len(pairs)
+            and len({p[1] for p in pairs}) == len(pairs))
+
+
+def _unite(a: QueryGraph, b: QueryGraph, vmap: dict[str, str], lmap: dict[str, str],
+           restrict: MergeConfig | None) -> QueryGraph | None:
+    """The union of a and a renamed-apart b with b's vertices ``vmap``
+    and user labels ``lmap`` identified with a's; None if it is not a
+    valid graph or, given ``restrict``, fails the restrictions."""
+    triples = set(a.triples)
+    for t in b.triples:
+        label = t.label
+        if not label.is_builtin and label.name in lmap:
+            label = user(lmap[label.name])
+        triples.add(Triple(vmap.get(t.subject, t.subject), label,
+                           vmap.get(t.object, t.object)))
+    if restrict is not None and (
+            len(triples) > restrict.tau
+            or _aggregations(triples, restrict.count_order_as_agg) > restrict.delta):
+        return None
+    verts = list(a.vertices) + [v for v in b.vertices if v.id not in vmap]
+    try:
+        merged = build_graph(verts, triples, None)
+    except GraphError:
+        return None
+    if restrict is not None and not merged.is_connected():
+        return None
+    return merged
+
+
 def merge_pair(a: QueryGraph, b: QueryGraph,
                max_shared_vertices: int = 2,
                max_shared_labels: int = 1,
-               max_triples: int | None = None) -> dict[StructureKey, QueryGraph]:
+               restrict: MergeConfig | None = None,
+               counts: Counter | None = None) -> dict[StructureKey, QueryGraph]:
     """All structures obtainable by unifying up to ``max_shared_vertices``
     vertex pairs and ``max_shared_labels`` user-label pairs of the disjoint
     union of a and b, deduplicated by canonical key.
 
-    The bare disjoint union is included (it is dropped later by the
-    connectivity restriction). ``max_triples`` skips oversized results
-    before canonicalization.
+    Without ``restrict`` the bare disjoint union is included. With it,
+    only results that pass ``passes_restrictions(., restrict)`` are
+    returned, and the others are rejected before canonicalization.
+    ``counts``, when given, has ``generated`` increased by the number of
+    unifications considered and ``failed_restrictions`` by those rejected
+    unbuilt or uncanonicalized (restrictions, or not a valid graph).
     """
     b = _rename_apart(b)
     vertex_pairs = [(va.id, vb.id) for va in a.vertices for vb in b.vertices
                     if _unifiable(a, va, b, vb)]
     label_pairs = [(la, lb) for la in a.user_labels for lb in b.user_labels]
+    label_maps = [{lb: la for la, lb in combo}
+                  for l in range(max_shared_labels + 1)
+                  for combo in combinations(label_pairs, l) if _injective(combo)]
+    union_size = len(a.triples) + len(b.triples)
 
     out: dict[StructureKey, QueryGraph] = {}
-
-    def build(vmap: dict[str, str], lmap: dict[str, str]) -> None:
-        triples = list(a.triples)
-        for t in b.triples:
-            label = t.label
-            if not label.is_builtin and label.name in lmap:
-                label = user(lmap[label.name])
-            triples.append(Triple(vmap.get(t.subject, t.subject), label,
-                                  vmap.get(t.object, t.object)))
-        triple_set = set(triples)
-        if max_triples is not None and len(triple_set) > max_triples:
-            return
-        dropped = set(vmap)
-        verts = list(a.vertices) + [v for v in b.vertices if v.id not in dropped]
-        try:
-            merged = build_graph(verts, triple_set, None)
-        except GraphError:
-            return
-        key, rep = canonical_form(merged)
-        out.setdefault(key, rep)
-
-    for k in range(0, max_shared_vertices + 1):
+    generated = failed = 0
+    for k in range(max_shared_vertices + 1):
         for combo in combinations(vertex_pairs, k):
-            a_side = [p[0] for p in combo]
-            b_side = [p[1] for p in combo]
-            if len(set(a_side)) < k or len(set(b_side)) < k:
+            if not _injective(combo):
                 continue
+            generated += len(label_maps)
             vmap = {vb: va for va, vb in combo}
-            for l in range(0, max_shared_labels + 1):
-                for lab_combo in combinations(label_pairs, l):
-                    la_side = [p[0] for p in lab_combo]
-                    lb_side = [p[1] for p in lab_combo]
-                    if len(set(la_side)) < l or len(set(lb_side)) < l:
-                        continue
-                    build(vmap, {lb: la for la, lb in lab_combo})
+            if restrict is not None:
+                # only a b-triple with both ends unified can coincide with
+                # an a-triple, so this is a lower bound on the result size
+                shared = sum(1 for t in b.triples if t.subject in vmap and t.object in vmap)
+                if k == 0 or union_size - shared > restrict.tau:
+                    failed += len(label_maps)
+                    continue
+            for lmap in label_maps:
+                merged = _unite(a, b, vmap, lmap, restrict)
+                if merged is None:
+                    failed += 1
+                    continue
+                key, rep = canonical_form(merged)
+                out.setdefault(key, rep)
+    if counts is not None:
+        counts.update(generated=generated, failed_restrictions=failed)
     return out
+
+
+ROUND_COUNTS = ("generated", "failed_restrictions", "duplicates", "below_theta",
+                "cut_by_beam")
 
 
 def merge_substructures(probs: dict[StructureKey, float],
                         catalog: SubstructureCatalog,
                         cfg: MergeConfig,
-                        score_fn=None,
                         rounds_out: list | None = None) -> list[ScoredStructure]:
     """Iteratively merge predicted-contained frequent substructures.
 
@@ -154,64 +207,96 @@ def merge_substructures(probs: dict[StructureKey, float],
 
     Passing a list as ``rounds_out`` collects one JSON-ready dict per
     round (the seed set and each iteration's survivors) for inspection.
+    Each also counts what happened to the round's candidates; ``generated``
+    equals the sum of the other counts in ``ROUND_COUNTS`` plus the number
+    of members. ``generated`` and ``failed_restrictions`` count
+    unifications (``merge_pair``'s counts; in the seed round, frequent
+    substructures), ``duplicates`` those that gave a structure already
+    seen this round, and the rest distinct structures.
     """
-    def default_score(key: StructureKey, rep: QueryGraph) -> float:
-        return score_containment(containment_pattern(rep, catalog, key), probs, catalog)
+    reps = {k: catalog.substructures[k].representative for k in catalog.frequent_keys}
+    patterns = {k: contained_frequent_keys(rep, catalog) for k, rep in reps.items()}
+    # smallest first: an absent small part rules out every larger
+    # substructure that contains it
+    embed_order = sorted(reps, key=StructureKey.sort_key)
+    scores: dict[StructureKey, float] = {}
 
-    scorer = score_fn or default_score
-    score_cache: dict[StructureKey, float] = {}
+    def score_candidate(key: StructureKey, rep: QueryGraph,
+                        known: frozenset[StructureKey]) -> None:
+        """Score ``key`` into ``scores``; ``known`` are frequent
+        substructures that ``rep`` is known to contain."""
+        found = set(known)
+        absent: set[StructureKey] = set()
+        for k in embed_order:
+            if k in found:
+                continue
+            # downward closure: k is absent if any frequent part of it is,
+            # and present brings every frequent part of it along
+            if not patterns[k] & absent and is_substructure(reps[k], rep):
+                found |= patterns[k]
+            else:
+                absent.add(k)
+        patterns[key] = frozenset(found)
+        scores[key] = score_containment(patterns[key], probs, catalog)
 
-    def score(key: StructureKey, rep: QueryGraph) -> float:
-        if key not in score_cache:
-            score_cache[key] = scorer(key, rep)
-        return score_cache[key]
-
-    contained = [key for key in catalog.frequent_keys if probs.get(key, 0.0) > 0.5]
-
-    def record_round(label, members):
+    def record_round(label, members, counts):
         if rounds_out is None:
             return
-        from .mining import graph_to_json
-
         rounds_out.append({
             "round": label,
-            "members": [{"key": k.canonical, "score": score_cache[k],
+            **{name: counts[name] for name in ROUND_COUNTS},
+            "members": [{"key": k.canonical, "score": scores[k],
                          "graph": graph_to_json(members[k])}
                         for k in sorted(members, key=StructureKey.sort_key)],
         })
 
+    counts = Counter(generated=len(reps))
     current: dict[StructureKey, QueryGraph] = {}
-    for key in catalog.frequent_keys:
-        rep = catalog.substructures[key].representative
-        if passes_restrictions(rep, cfg) and score(key, rep) > cfg.theta:
+    for key, rep in reps.items():
+        if not passes_restrictions(rep, cfg):
+            counts["failed_restrictions"] += 1
+            continue
+        scores[key] = score_containment(patterns[key], probs, catalog)
+        if scores[key] > cfg.theta:
             current[key] = rep
+        else:
+            counts["below_theta"] += 1
     result: dict[StructureKey, QueryGraph] = dict(current)
-    record_round(0, current)
+    record_round(0, current, counts)
 
+    contained = [key for key in catalog.frequent_keys if probs.get(key, 0.0) > 0.5]
     for _round in range(cfg.k_max):
+        counts = Counter()
+        seen: set[StructureKey] = set()
         merged: dict[StructureKey, QueryGraph] = {}
         for skey in contained:
-            srep = catalog.substructures[skey].representative
             for mkey in sorted(current, key=StructureKey.sort_key):
-                candidates = merge_pair(srep, current[mkey],
+                candidates = merge_pair(reps[skey], current[mkey],
                                         cfg.max_shared_vertices,
                                         cfg.max_shared_labels,
-                                        max_triples=cfg.tau)
+                                        restrict=cfg, counts=counts)
                 for ckey, crep in candidates.items():
-                    if ckey in merged or not passes_restrictions(crep, cfg):
+                    if ckey in seen:
                         continue
-                    if score(ckey, crep) > cfg.theta:
+                    seen.add(ckey)
+                    if ckey not in scores:
+                        score_candidate(ckey, crep, patterns[skey] | patterns[mkey])
+                    if scores[ckey] > cfg.theta:
                         merged[ckey] = crep
+                    else:
+                        counts["below_theta"] += 1
+        counts["duplicates"] = counts["generated"] - counts["failed_restrictions"] - len(seen)
         if len(merged) > cfg.beam:
-            best = sorted(merged, key=lambda k: (-score_cache[k], k.sort_key()))[:cfg.beam]
-            merged = {k: merged[k] for k in best}
+            counts["cut_by_beam"] = len(merged) - cfg.beam
+            best_keys = sorted(merged, key=lambda k: (-scores[k], k.sort_key()))[:cfg.beam]
+            merged = {k: merged[k] for k in best_keys}
         result.update(merged)
         current = merged
-        record_round(_round + 1, current)
+        record_round(_round + 1, current, counts)
         if not current:
             break
 
-    out = [ScoredStructure(key, rep, score_cache[key], MERGED)
+    out = [ScoredStructure(key, rep, scores[key], MERGED)
            for key, rep in result.items()]
     out.sort(key=ScoredStructure.rank_key)
     return out

@@ -74,23 +74,14 @@ def score_containment(contained: frozenset[StructureKey],
 
 def containment_pattern(g: QueryGraph, catalog: SubstructureCatalog,
                         key: StructureKey | None = None) -> frozenset[StructureKey]:
-    """Frequent substructures contained in ``g``, cached in the catalog
-    for mined structures and memoized for merged ones."""
-    cache = getattr(catalog, "_pattern_cache", None)
-    if cache is None:
-        cache = {}
-        catalog._pattern_cache = cache
+    """Frequent substructures contained in ``g``; ``key``, when given, is
+    g's structure key, whose precomputed containment row is used if the
+    structure was mined."""
     if key is not None:
         row = catalog.containment.get(key)
         if row is not None:
             return row
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    pattern = contained_frequent_keys(g, catalog)
-    if key is not None:
-        cache[key] = pattern
-    return pattern
+    return contained_frequent_keys(g, catalog)
 
 
 def score_structure(s: QueryGraph, probs: dict[StructureKey, float],

@@ -284,3 +284,45 @@ def oracle_merge_pair(a: QueryGraph, b: QueryGraph,
                     if not any(oracle_is_equivalent(merged, r) for r in reps):
                         reps.append(merged)
     return reps
+
+
+def reference_merge_substructures(probs, catalog, cfg) -> list[tuple[str, float]]:
+    """Merging without shortcuts: every candidate of the unrestricted
+    ``merge_pair`` that passes the restrictions is scored from the
+    containment pattern that full substructure enumeration gives.
+    Returns (canonical key, score) in rank order."""
+    from kbqg.merging import merge_pair, passes_restrictions
+    from kbqg.mining import contained_frequent_keys
+    from kbqg.ranking import score_containment
+
+    scores = {}
+
+    def score(key, rep):
+        if key not in scores:
+            scores[key] = score_containment(contained_frequent_keys(rep, catalog),
+                                            probs, catalog)
+        return scores[key]
+
+    current = {}
+    for key in catalog.frequent_keys:
+        rep = catalog.substructures[key].representative
+        if passes_restrictions(rep, cfg) and score(key, rep) > cfg.theta:
+            current[key] = rep
+    result = dict(current)
+    contained = [k for k in catalog.frequent_keys if probs[k] > 0.5]
+    for _ in range(cfg.k_max):
+        merged = {}
+        for skey in contained:
+            srep = catalog.substructures[skey].representative
+            for mkey in sorted(current, key=lambda k: k.sort_key()):
+                for ckey, crep in merge_pair(srep, current[mkey], cfg.max_shared_vertices,
+                                             cfg.max_shared_labels).items():
+                    if passes_restrictions(crep, cfg) and score(ckey, crep) > cfg.theta:
+                        merged[ckey] = crep
+        best = sorted(merged, key=lambda k: (-scores[k], k.sort_key()))[:cfg.beam]
+        current = {k: merged[k] for k in best}
+        result.update(current)
+        if not current:
+            break
+    ranked = sorted(result, key=lambda k: (-scores[k], k.triple_count, k.canonical))
+    return [(k.canonical, scores[k]) for k in ranked]

@@ -167,6 +167,19 @@ def test_returned_queries_execute_nonempty():
         assert not execute(r.query, kb).is_empty
 
 
+def test_results_carry_the_answers_grounding_computed():
+    kb = build_kb()
+    structures = [scored("SELECT ?f WHERE { ?f :director :X }", 0.9, 5),
+                  scored("SELECT (COUNT(?f) AS ?c) WHERE { ?f :director :X }", 0.8, 5)]
+    candidates = [cand("entity", ":S_Kubrick"), cand("entity", ":T_Burton", 0.9),
+                  cand("property", ":director")]
+    results = ground(structures, candidates, kb, top_k=5)
+    assert any(r.answers.is_aggregate for r in results)
+    for r in results:
+        assert r.answers == execute(r.query, kb)
+        assert not r.answers.is_empty
+
+
 def test_merged_structure_tries_targets():
     kb = build_kb()
     g = parse_query("SELECT ?c WHERE { ?f :director :X . ?f :country ?c }")

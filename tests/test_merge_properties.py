@@ -1,0 +1,67 @@
+"""Property tests for the exact shortcuts the merger takes.
+
+The merger checks restrictions before canonicalizing and tests
+containment by embedding frequent substructures instead of enumerating
+every triple subset. Each shortcut is checked here against the plain
+computation it replaces.
+"""
+
+import random
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kbqg.canon import canonical_key, is_substructure
+from kbqg.merging import MergeConfig, merge_pair, merge_substructures, passes_restrictions
+from kbqg.mining import enumerate_substructures
+
+from .graphgen import random_graph
+from .oracles import reference_merge_substructures
+from .test_merging import merge_fixture
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, seeds)
+def test_is_substructure_agrees_with_enumeration(seed_g, seed_h):
+    g = random_graph(random.Random(seed_g), max_triples=5)
+    h = random_graph(random.Random(seed_h), max_triples=4)
+    inside = enumerate_substructures(g)
+    for key, rep in enumerate_substructures(h).items():
+        assert is_substructure(rep, g) == (key in inside), (str(rep), str(g))
+    # g's own parts are always found
+    for key, rep in inside.items():
+        assert canonical_key(rep) == key and is_substructure(rep, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, seeds, st.integers(1, 7), st.integers(0, 2), st.booleans())
+def test_restricted_merge_pair_is_filtered_merge_pair(seed_a, seed_b, tau, delta,
+                                                      order_as_agg):
+    a = random_graph(random.Random(seed_a), max_triples=3)
+    b = random_graph(random.Random(seed_b), max_triples=3)
+    cfg = MergeConfig(tau=tau, delta=delta, count_order_as_agg=order_as_agg)
+    expected = {k: v for k, v in merge_pair(a, b).items() if passes_restrictions(v, cfg)}
+    counts = Counter()
+    assert merge_pair(a, b, restrict=cfg, counts=counts) == expected
+    assert counts["generated"] - counts["failed_restrictions"] >= len(expected)
+
+
+_CATALOG, _GOLD, _PROBS = merge_fixture()
+_KEYS = sorted(_PROBS, key=lambda k: k.sort_key())
+probabilities = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, 1e-7, 1.0 - 1e-7]),
+              st.floats(0.0, 0.1), st.floats(0.9, 1.0), st.floats(0.0, 1.0)),
+    min_size=len(_KEYS), max_size=len(_KEYS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(probabilities, st.sampled_from([0.0, 0.01, 0.3, 0.7]), st.sampled_from([3, 30]),
+       st.integers(1, 2))
+def test_merging_matches_enumeration_reference(ps, theta, beam, k_max):
+    probs = dict(zip(_KEYS, ps))
+    cfg = MergeConfig(k_max=k_max, theta=theta, beam=beam)
+    got = [(s.key.canonical, s.score) for s in merge_substructures(probs, _CATALOG, cfg)]
+    assert got == reference_merge_substructures(probs, _CATALOG, cfg)

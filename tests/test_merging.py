@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from kbqg.canon import canonical_key, is_substructure
 from kbqg.graph import QueryGraph
 from kbqg.merging import (
+    ROUND_COUNTS,
     MergeConfig,
     aggregation_count,
     merge_pair,
@@ -15,7 +18,7 @@ from kbqg.sparql import parse_query
 from kbqg.toydata import build_merge_corpus
 from kbqg.mining import contained_frequent_keys
 
-from .oracles import oracle_is_equivalent, oracle_merge_pair
+from .oracles import oracle_is_equivalent, oracle_merge_pair, reference_merge_substructures
 
 
 def strip_target(g: QueryGraph) -> QueryGraph:
@@ -145,6 +148,37 @@ def test_merge_rounds_debug_dump():
     assert rounds[0]["members"], "seed round must be recorded"
     member = rounds[0]["members"][0]
     assert {"key", "score", "graph"} <= set(member)
+    for r in rounds:
+        assert set(ROUND_COUNTS) <= set(r)
+        assert all(r[name] >= 0 for name in ROUND_COUNTS)
+        decided = sum(r[name] for name in ROUND_COUNTS if name != "generated")
+        assert r["generated"] == decided + len(r["members"]), r["round"]
+    assert rounds[0]["generated"] == len(catalog.substructures)
+    assert rounds[1]["generated"] > rounds[1]["failed_restrictions"] > 0
+
+
+def skewed_probs(probs):
+    """"?v :p Ent" certain and "?v :p ?w" barely predicted: merging them
+    builds chains whose other parts were predicted absent."""
+    by_canonical = {k.canonical: k for k in probs}
+    skewed = {k: 0.0 for k in probs}
+    skewed[by_canonical["e|v//1 p0 0"]] = 1.0
+    skewed[by_canonical["v|v//1 p0 0"]] = 0.55
+    return skewed
+
+
+def test_merge_round_counts_under_skewed_probabilities():
+    catalog, _gold, probs = merge_fixture()
+    skewed = skewed_probs(probs)
+    cfg = MergeConfig(k_max=2, theta=0.3)
+    rounds = []
+    out = merge_substructures(skewed, catalog, cfg, rounds_out=rounds)
+    assert sum(r["below_theta"] for r in rounds[1:]) > 0
+    for r in rounds:
+        decided = sum(r[name] for name in ROUND_COUNTS if name != "generated")
+        assert r["generated"] == decided + len(r["members"])
+    assert [(s.key.canonical, s.score) for s in out] == \
+        reference_merge_substructures(skewed, catalog, cfg)
 
 
 def test_empty_contained_set_returns_seeds_only():
@@ -159,3 +193,16 @@ def test_empty_contained_set_returns_seeds_only():
         if not contained_frequent_keys(catalog.substructures[k].representative,
                                        catalog)]
     assert {s.key for s in out} == set(empty_pattern_seeds)
+
+
+def test_merging_keeps_scores_just_above_theta():
+    catalog, _gold, probs = merge_fixture()
+    skewed = skewed_probs(probs)
+    lowest = min(score for _key, score in
+                 reference_merge_substructures(skewed, catalog, MergeConfig(theta=0.3)))
+    for theta in (math.nextafter(lowest, 0.0), lowest):
+        cfg = MergeConfig(theta=theta)
+        got = [(s.key.canonical, s.score) for s in merge_substructures(skewed, catalog, cfg)]
+        expected = reference_merge_substructures(skewed, catalog, cfg)
+        assert got == expected
+        assert any(score == lowest for _key, score in got) == (theta < lowest)
