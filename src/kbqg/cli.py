@@ -22,7 +22,7 @@ from .evaluation import (
     run_pipeline,
 )
 from .grounding import DictionaryLinker
-from .kb import load_kb
+from .kb import format_answer, load_kb
 from .merging import MergeConfig
 from .mining import load_catalog, mine, save_catalog
 from .pipeline import SETTINGS, QueryGenerator
@@ -162,16 +162,9 @@ def cmd_generate(args):
     print("\ngrounded queries:")
     if trace.error:
         print(f"  (none: {trace.error})")
-    from fractions import Fraction
-
     for r in trace.results:
-        if r.answers.is_aggregate:
-            agg = r.answers.aggregate
-            shown = f"{float(agg):g}" if isinstance(agg, Fraction) else agg
-        else:
-            shown = sorted(r.answers.values)
         print(f"  {serialize_query(r.query)}")
-        print(f"    -> {shown}")
+        print(f"    -> {format_answer(r.answers)}")
 
 
 def _print_report(report):

@@ -14,7 +14,6 @@ import json
 import logging
 import statistics
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .grounding import (
     LinkingCandidate,
     with_distractors,
 )
-from .kb import AnswerSet, KnowledgeBase, execute
+from .kb import AnswerSet, KnowledgeBase, execute, format_answer
 from .merging import MergeConfig
 from .mining import (
     Mention,
@@ -362,17 +361,6 @@ class EvalReport:
                 f"P@5={p5_m:.3f}±{p5_s:.3f}")
 
 
-def _answer_str(ans: AnswerSet | None) -> str | None:
-    if ans is None:
-        return None
-    if ans.is_aggregate:
-        agg = ans.aggregate
-        if isinstance(agg, Fraction):
-            return f"={float(agg):g}"
-        return f"={agg}"
-    return "{" + ", ".join(sorted(ans.values)) + "}"
-
-
 def build_generator(train_pairs, dev_pairs, kb: KnowledgeBase,
                     config: PipelineConfig) -> QueryGenerator:
     """Mine and train everything one fold needs."""
@@ -431,8 +419,8 @@ def evaluate_questions(generator: QueryGenerator, test_pairs, kb: KnowledgeBase,
                     break
         records.append(QuestionRecord(
             pair.qid or str(qi), pair.question, f1, hit1, hit5,
-            is_complex(pair.query), _answer_str(gold_answers),
-            _answer_str(predicted), trace.error))
+            is_complex(pair.query), format_answer(gold_answers),
+            format_answer(predicted), trace.error))
     return FoldReport(fold, records)
 
 

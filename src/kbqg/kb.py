@@ -2,8 +2,9 @@
 executor for the supported query-graph semantics.
 
 The KB file format is UTF-8, one tab-separated ``subject property object``
-triple per line, with ``a`` accepted as shorthand for rdf:type. Blank
-lines and lines starting with ``#`` are skipped. The optional schema file
+triple per line, with ``a`` accepted as shorthand for rdf:type; a line
+with any other number of tabs is rejected. Blank lines and lines starting
+with ``#`` are skipped. The optional schema file
 holds lines ``domain <prop> <class>``, ``range <prop> <class>`` and
 ``disjoint <class> <class>``.
 """
@@ -69,7 +70,8 @@ class Schema:
 
 @dataclass
 class KnowledgeBase:
-    """Immutable-after-load fact store with property-centric indexes."""
+    """Immutable-after-load fact store with property-centric indexes and a
+    class index (``members``: class -> its entities)."""
 
     facts: set[tuple[str, str, str]] = field(default_factory=set)
     types: dict[str, set[str]] = field(default_factory=dict)
@@ -77,10 +79,12 @@ class KnowledgeBase:
     by_property: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
     subjects_by_po: dict[tuple[str, str], set[str]] = field(default_factory=dict)
     objects_by_ps: dict[tuple[str, str], set[str]] = field(default_factory=dict)
+    members: dict[str, set[str]] = field(default_factory=dict)
 
     def add_fact(self, s: str, p: str, o: str) -> None:
         if p == RDF_TYPE_SHORTHAND:
             self.types.setdefault(s, set()).add(o)
+            self.members.setdefault(o, set()).add(s)
             return
         if (s, p, o) in self.facts:
             return
@@ -93,7 +97,9 @@ class KnowledgeBase:
         return self.types.get(entity, set())
 
     def entities_of_class(self, cls: str) -> set[str]:
-        return {e for e, cs in self.types.items() if cls in cs}
+        """The entities typed ``cls``: the class index's own set, which
+        callers must not modify."""
+        return self.members.get(cls, set())
 
     @property
     def fact_count(self) -> int:
@@ -109,9 +115,8 @@ def load_kb(path, schema_path=None) -> KnowledgeBase:
                 continue
             parts = line.split("\t")
             if len(parts) != 3:
-                parts = line.split()
-            if len(parts) != 3:
-                raise KbParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
+                raise KbParseError(
+                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
             kb.add_fact(*parts)
     if schema_path is not None:
         kb.schema = load_schema(schema_path)
@@ -173,14 +178,42 @@ class AnswerSet:
         return hash((self.values, self.is_aggregate))
 
 
+def format_answer(ans: AnswerSet | None) -> str | None:
+    """One-line text of an answer: ``{a, b}`` (sorted) for a set,
+    ``=x`` for an aggregate (an AVG fraction as a float), None for none."""
+    if ans is None:
+        return None
+    if ans.is_aggregate:
+        agg = ans.aggregate
+        if isinstance(agg, Fraction):
+            return f"={float(agg):g}"
+        return f"={agg}"
+    return "{" + ", ".join(sorted(ans.values)) + "}"
+
+
 def _pattern_triples(q: QueryGraph) -> list[Triple]:
     return [t for t in q.triples
             if not t.label.is_builtin or t.label.builtin == ISA]
 
 
+_HOLDS = (None,)   # the entry of a fully bound triple that holds
+
+
 def _solutions(q: QueryGraph, kb: KnowledgeBase) -> list[dict[str, str]]:
     """All variable bindings satisfying the basic graph pattern (user
-    triples + ISA), by backtracking join, most-constrained triple first."""
+    triples + ISA), by backtracking join.
+
+    At each step the join extends with the remaining triple whose index
+    entry, looked up under the current binding, is smallest (lowest
+    position on ties), and iterates that entry as it is: no candidate
+    list is built or sorted. The entries are ``objects_by_ps``,
+    ``subjects_by_po``, ``by_property``, ``members`` and ``classes_of``
+    (``types``, sized by its entities, for an ISA triple free at both
+    ends); a fully bound triple is a 0/1 membership test. The solutions
+    therefore come in no fixed order, and nothing downstream depends on
+    one: set answers are a frozenset, aggregates run over distinct
+    values, and MAXATN/MINATN sort the rows by (value, full sorted row).
+    """
     pattern = _pattern_triples(q)
     if not pattern:
         return []
@@ -191,60 +224,67 @@ def _solutions(q: QueryGraph, kb: KnowledgeBase) -> list[dict[str, str]]:
             return None, vid
         return v.surface, vid
 
+    # (ISA?, property, subject const, subject vid, object const, object vid)
+    plan = [(t.label.is_builtin, t.label.name, *term(t.subject), *term(t.object))
+            for t in pattern]
     solutions: list[dict[str, str]] = []
 
-    def candidates(t: Triple, binding: dict[str, str]) -> list[tuple[str, str]]:
-        sconst, svid = term(t.subject)
-        oconst, ovid = term(t.object)
+    def entry(step, binding: dict[str, str]):
+        """The index entry behind ``step`` under ``binding``, and what its
+        items bind: "s" or "o" (that end's values), "so" (both ends) or
+        "" (nothing: the triple is fully bound, and the entry has one
+        item if it holds, none otherwise)."""
+        isa, p, sconst, svid, oconst, ovid = step
         s = sconst if sconst is not None else binding.get(svid)
         o = oconst if oconst is not None else binding.get(ovid)
-        if t.label.is_builtin:  # ISA
-            if s is not None and o is not None:
-                return [(s, o)] if o in kb.classes_of(s) else []
-            if o is not None:
-                return sorted((e, o) for e in kb.entities_of_class(o))
+        if isa:
             if s is not None:
-                return sorted((s, c) for c in kb.classes_of(s))
-            return sorted((e, c) for e, cs in kb.types.items() for c in cs)
-        p = t.label.name
-        if s is not None and o is not None:
-            return [(s, o)] if (s, p, o) in kb.facts else []
+                classes = kb.classes_of(s)
+                return (classes, "o") if o is None else (_HOLDS if o in classes else (), "")
+            if o is not None:
+                return kb.entities_of_class(o), "s"
+            return kb.types, "so"   # entity -> classes
         if s is not None:
-            return sorted((s, o2) for o2 in kb.objects_by_ps.get((p, s), ()))
+            objects = kb.objects_by_ps.get((p, s), ())
+            return (objects, "o") if o is None else (_HOLDS if o in objects else (), "")
         if o is not None:
-            return sorted((s2, o) for s2 in kb.subjects_by_po.get((p, o), ()))
-        return sorted(kb.by_property.get(p, ()))
+            return kb.subjects_by_po.get((p, o), ()), "s"
+        return kb.by_property.get(p, ()), "so"
 
-    def extend(remaining: list[Triple], binding: dict[str, str]) -> None:
+    def extend(remaining: list, binding: dict[str, str]) -> None:
         if not remaining:
             solutions.append(dict(binding))
             return
-        # most-constrained next: fewest candidate facts
-        scored = [(len(candidates(t, binding)), i) for i, t in enumerate(remaining)]
-        _, idx = min(scored)
-        t = remaining[idx]
+        best = None
+        for i, step in enumerate(remaining):
+            found, ends = entry(step, binding)
+            if not found:
+                return
+            if best is None or len(found) < len(best[1]):
+                best = (i, found, ends)
+        idx, found, ends = best
+        isa, _, _, svid, _, ovid = remaining[idx]
         rest = remaining[:idx] + remaining[idx + 1:]
-        sconst, svid = term(t.subject)
-        oconst, ovid = term(t.object)
-        for s, o in candidates(t, binding):
-            added = []
-            ok = True
-            for const, vid, val in ((sconst, svid, s), (oconst, ovid, o)):
-                if const is not None:
-                    continue
-                bound = binding.get(vid)
-                if bound is None:
-                    binding[vid] = val
-                    added.append(vid)
-                elif bound != val:
-                    ok = False
-                    break
-            if ok:
+        if ends == "":
+            extend(rest, binding)
+        elif ends != "so":
+            vid = svid if ends == "s" else ovid
+            for value in found:
+                binding[vid] = value
                 extend(rest, binding)
-            for vid in added:
-                del binding[vid]
+            del binding[vid]
+        else:
+            pairs = ((e, c) for e, cs in found.items() for c in cs) if isa else found
+            for s, o in pairs:
+                if svid == ovid and s != o:
+                    continue
+                binding[svid] = s
+                binding[ovid] = o
+                extend(rest, binding)
+            binding.pop(svid, None)
+            binding.pop(ovid, None)
 
-    extend(pattern, {})
+    extend(plan, {})
     return solutions
 
 

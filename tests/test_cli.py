@@ -28,6 +28,7 @@ def test_train_and_generate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ranked structures" in out
     assert ":S_Kubrick" in out
+    assert "    -> {:S_Kubrick}\n" in out
 
 
 def test_eval_oracle_single_fold(tmp_path, capsys):

@@ -16,6 +16,7 @@ from kbqg.kb import (
     load_schema,
 )
 from kbqg.sparql import parse_query
+from kbqg.toydata import data_dir
 
 from .graphgen import random_graph
 from .oracles import oracle_execute_pattern
@@ -48,6 +49,34 @@ def test_load_kb_reports_line_number(tmp_path):
     path.write_text(":a\t:p\t:b\nonly two\n", encoding="utf-8")
     with pytest.raises(KbParseError, match="2"):
         load_kb(path)
+
+
+def test_load_kb_rejects_space_separated_line(tmp_path):
+    path = tmp_path / "spaces.tsv"
+    path.write_text(":a\t:p\t:b\n:c :p :d\n", encoding="utf-8")
+    with pytest.raises(KbParseError, match=f"{path}:2:"):
+        load_kb(path)
+
+
+def test_class_index_matches_types():
+    kb = load_kb(data_dir() / "toy_kb.tsv")
+
+    def by_scan(cls):
+        return {e for e, cs in kb.types.items() if cls in cs}
+
+    classes = {c for cs in kb.types.values() for c in cs}
+    assert classes
+    for cls in classes:
+        assert kb.entities_of_class(cls) == by_scan(cls)
+    cls = sorted(classes)[0]
+    member = sorted(kb.entities_of_class(cls))[0]
+    kb.add_fact(":New_Entity", "a", cls)
+    kb.add_fact(member, "a", cls)       # a repeated type fact
+    kb.add_fact(":New_Entity", "a", ":New_Class")
+    for c in classes | {":New_Class"}:
+        assert kb.entities_of_class(c) == by_scan(c)
+    assert ":New_Entity" in kb.entities_of_class(cls)
+    assert kb.entities_of_class(":No_Such_Class") == set()
 
 
 def test_load_schema(tmp_path):
