@@ -21,12 +21,13 @@ from .evaluation import (
     load_dataset,
     run_pipeline,
 )
-from .grounding import DictionaryLinker
+from .grounding import DictionaryLinker, load_candidates
 from .kb import format_answer, load_kb
 from .merging import MergeConfig
 from .mining import load_catalog, mine, save_catalog
 from .pipeline import SETTINGS, QueryGenerator
 from .predictor import TrainConfig, load_models, save_models, train
+from .ranking import write_ranked_jsonl
 from .sparql import load_prefixes, serialize_query
 from .toydata import data_dir
 
@@ -131,24 +132,20 @@ def cmd_generate(args):
                                MergeConfig(k_max=args.K, theta=args.theta,
                                            tau=args.tau, delta=args.delta),
                                top_k=args.top_k, setting=args.setting)
-    generator.collect_merge_rounds = bool(args.dump_merged)
     if args.candidates:
-        from .grounding import load_candidates
-
-        spans, candidates = [], load_candidates(args.candidates)
+        candidates = load_candidates(args.candidates)
         spans = [c.span for c in candidates
                  if c.kind == "entity" and c.span is not None]
     else:
         spans, candidates = linker.link(args.question)
-    trace = generator.generate(args.question, spans, candidates)
+    rounds = [] if args.dump_merged else None
+    trace = generator.generate(args.question, spans, candidates, rounds_out=rounds)
     if args.dump_ranked:
-        from .ranking import write_ranked_jsonl
-
         with open(args.dump_ranked, "w", encoding="utf-8") as f:
             write_ranked_jsonl(trace.ranked, f)
     if args.dump_merged:
         with open(args.dump_merged, "w", encoding="utf-8") as f:
-            json.dump(generator.last_merge_rounds, f, indent=1)
+            json.dump(rounds, f, indent=1)
     print(f"question: {args.question}")
     print(f"tokens:   {' '.join(trace.tokens)}")
     print("\ntop substructure probabilities:")

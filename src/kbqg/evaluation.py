@@ -41,7 +41,7 @@ from .predictor import (
     train,
     train_structure_classifier,
 )
-from .sparql import QuerySyntaxError, UnsupportedFeatureError, parse_query
+from .sparql import QuerySyntaxError, UnsupportedFeatureError, parse_query, serialize_query
 
 log = logging.getLogger(__name__)
 
@@ -85,8 +85,6 @@ def load_dataset(path, prefixes=None, name: str | None = None) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    from .sparql import serialize_query
-
     records = []
     for pair in dataset.pairs:
         records.append({

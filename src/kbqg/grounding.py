@@ -17,6 +17,7 @@ scored distractor candidates for noisy-linking experiments.
 from __future__ import annotations
 
 import heapq
+import json
 import re
 from dataclasses import dataclass, field
 
@@ -337,8 +338,6 @@ def extract_literal_candidates(question: str) -> list[LinkingCandidate]:
 def save_candidates(candidates: list[LinkingCandidate], path) -> None:
     """Write candidates grouped per mention:
     [{mention, kind, span?, candidates: [{symbol, score}]}, ...]."""
-    import json
-
     groups: dict[tuple, list[LinkingCandidate]] = {}
     for c in candidates:
         groups.setdefault((c.mention, c.kind, c.span), []).append(c)
@@ -357,8 +356,6 @@ def save_candidates(candidates: list[LinkingCandidate], path) -> None:
 
 
 def load_candidates(path) -> list[LinkingCandidate]:
-    import json
-
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
     out = []

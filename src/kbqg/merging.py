@@ -38,7 +38,6 @@ from itertools import combinations
 
 from .canon import StructureKey, canonical_form, is_substructure
 from .graph import (
-    AGG_CONNECTORS,
     AGG_RESULT,
     AGGREGATION_LABELS,
     GraphError,
@@ -58,10 +57,7 @@ class MergeConfig:
     theta: float = 0.3      # score threshold
     tau: int = 5            # max triples
     delta: int = 2          # max aggregations
-    max_shared_vertices: int = 2   # unification pairs tried per merge
-    max_shared_labels: int = 1
     beam: int = 200         # best-scoring candidates kept per iteration
-    count_order_as_agg: bool = True
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -72,19 +68,10 @@ class MergeConfig:
             raise ValueError("bad tau/delta")
 
 
-def _aggregations(triples, count_order_as_agg: bool) -> int:
-    labels = AGGREGATION_LABELS if count_order_as_agg else AGG_CONNECTORS
-    return sum(1 for t in triples if t.label.is_builtin and t.label.builtin in labels)
-
-
-def aggregation_count(g: QueryGraph, count_order_as_agg: bool = True) -> int:
-    return _aggregations(g.triples, count_order_as_agg)
-
-
 def passes_restrictions(g: QueryGraph, cfg: MergeConfig) -> bool:
     return (g.is_connected()
             and g.triple_count <= cfg.tau
-            and aggregation_count(g, cfg.count_order_as_agg) <= cfg.delta)
+            and g.aggregation_count <= cfg.delta)
 
 
 def _rename_apart(b: QueryGraph) -> QueryGraph:
@@ -124,7 +111,8 @@ def _unite(a: QueryGraph, b: QueryGraph, vmap: dict[str, str], lmap: dict[str, s
                            vmap.get(t.object, t.object)))
     if restrict is not None and (
             len(triples) > restrict.tau
-            or _aggregations(triples, restrict.count_order_as_agg) > restrict.delta):
+            or sum(1 for t in triples if t.label.is_builtin
+                   and t.label.builtin in AGGREGATION_LABELS) > restrict.delta):
         return None
     verts = list(a.vertices) + [v for v in b.vertices if v.id not in vmap]
     try:
@@ -272,8 +260,6 @@ def merge_substructures(probs: dict[StructureKey, float],
         for skey in contained:
             for mkey in sorted(current, key=StructureKey.sort_key):
                 candidates = merge_pair(reps[skey], current[mkey],
-                                        cfg.max_shared_vertices,
-                                        cfg.max_shared_labels,
                                         restrict=cfg, counts=counts)
                 for ckey, crep in candidates.items():
                     if ckey in seen:

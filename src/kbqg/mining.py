@@ -218,12 +218,12 @@ def graph_from_json(doc: dict) -> QueryGraph:
     return build_graph(vertices, triples, doc.get("target"))
 
 
-def _key_to_json(key: StructureKey) -> dict:
+def key_to_json(key: StructureKey) -> dict:
     return {"canonical": key.canonical, "triple_count": key.triple_count,
             "agg_count": key.agg_count}
 
 
-def _key_from_json(doc: dict) -> StructureKey:
+def key_from_json(doc: dict) -> StructureKey:
     return StructureKey(doc["canonical"], doc["triple_count"], doc["agg_count"])
 
 
@@ -234,11 +234,11 @@ def save_catalog(catalog: SubstructureCatalog, path) -> None:
         "version": CATALOG_VERSION,
         "gamma": catalog.gamma,
         "structures": [
-            {"key": _key_to_json(e.key), "count": e.count,
+            {"key": key_to_json(e.key), "count": e.count,
              "representative": graph_to_json(e.representative)}
             for e in catalog.structure_entries()],
         "substructures": [
-            {"key": _key_to_json(catalog.substructures[k].key),
+            {"key": key_to_json(catalog.substructures[k].key),
              "count": catalog.substructures[k].count,
              "representative": graph_to_json(catalog.substructures[k].representative)}
             for k in subs],
@@ -257,13 +257,13 @@ def load_catalog(path) -> SubstructureCatalog:
         raise ValueError(f"unsupported catalog version {doc.get('version')!r}")
     structures = {}
     for item in doc["structures"]:
-        key = _key_from_json(item["key"])
+        key = key_from_json(item["key"])
         structures[key] = CatalogEntry(key, graph_from_json(item["representative"]),
                                        item["count"])
     subs = []
     substructures = {}
     for item in doc["substructures"]:
-        key = _key_from_json(item["key"])
+        key = key_from_json(item["key"])
         subs.append(key)
         substructures[key] = CatalogEntry(key, graph_from_json(item["representative"]),
                                           item["count"])

@@ -72,14 +72,15 @@ class QueryGenerator:
         self.top_k = top_k
         self.setting = setting
         self.structure_classifier = structure_classifier
-        self.collect_merge_rounds = False
-        self.last_merge_rounds: list = []
 
     def rank(self, seq: TokenSequence,
-             probs_override: dict[StructureKey, float] | None = None
+             probs_override: dict[StructureKey, float] | None = None,
+             rounds_out: list | None = None
              ) -> tuple[dict, list[ScoredStructure], list[ScoredStructure]]:
         """Substructure probabilities, the final ranked list, and the
-        merged structures (empty unless the setting merges)."""
+        merged structures (empty unless the setting merges). A list passed
+        as ``rounds_out`` receives the merge rounds, as in
+        ``merge_substructures``."""
         if self.setting == "rank-wo-sub":
             ranked = self.structure_classifier.rank(seq, self.catalog)
             return {}, ranked, []
@@ -87,10 +88,8 @@ class QueryGenerator:
             else predict_all(self.models, seq)
         merged: list[ScoredStructure] = []
         if self.setting in ("full", "merge-only"):
-            rounds = [] if self.collect_merge_rounds else None
             merged = merge_substructures(probs, self.catalog, self.merge_cfg,
-                                         rounds_out=rounds)
-            self.last_merge_rounds = rounds or []
+                                         rounds_out=rounds_out)
         if self.setting == "merge-only":
             return probs, merged, merged
         existing = rank_existing(probs, self.catalog)
@@ -101,9 +100,10 @@ class QueryGenerator:
     def generate(self, question: str,
                  mention_spans=(),
                  candidates: list[LinkingCandidate] | None = None,
-                 probs_override: dict[StructureKey, float] | None = None) -> Trace:
+                 probs_override: dict[StructureKey, float] | None = None,
+                 rounds_out: list | None = None) -> Trace:
         seq = preprocess(question, mention_spans)
-        probs, ranked, merged = self.rank(seq, probs_override)
+        probs, ranked, merged = self.rank(seq, probs_override, rounds_out)
         trace = Trace(question, seq.tokens, probs, ranked, merged)
         all_candidates = list(candidates or [])
         symbols = {c.symbol for c in all_candidates}

@@ -10,6 +10,11 @@ Two interchangeable predictor families are provided: the attention
 BiLSTM (default) and a deterministic bag-of-words logistic baseline.
 Training a substructure with only positive or only negative examples
 falls back to a constant predictor at the clamped label prevalence.
+
+The rank-without-substructures ablation instead trains one softmax
+classifier over whole structures. It and the per-substructure BiLSTMs
+share one example builder (``_examples``) and one training loop
+(``_fit``: minibatch Adam with early stopping on the dev loss).
 """
 
 from __future__ import annotations
@@ -25,13 +30,22 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import nn
-from .canon import StructureKey
-from .mining import SubstructureCatalog, contained_frequent_keys
+from .canon import StructureKey, canonical_key
+from .mining import (
+    SubstructureCatalog,
+    contained_frequent_keys,
+    key_from_json,
+    key_to_json,
+)
+from .ranking import EXISTING, ScoredStructure
 
 ENTITY_TOKEN = "<entity>"
 UNK_TOKEN = "<unk>"
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
+
+DEV_FRACTION = 0.1  # share of the training pairs held out when no dev set is given
+UNK_RATE = 0.3      # chance that a training occurrence of a singleton word reads <unk>
 
 
 class DegenerateLabelWarning(UserWarning):
@@ -81,8 +95,6 @@ class TrainConfig:
     patience: int = 5
     seed: int = 13
     arch: str = "bilstm"  # or "bow"
-    dev_fraction: float = 0.1
-    unk_rate: float = 0.3
 
     def __post_init__(self):
         if self.d_e <= 0 or self.d_h <= 0:
@@ -185,28 +197,49 @@ class ConstantModel:
 # training
 
 
-def _split_dev(items, dev_fraction: float, rng: np.random.Generator):
+def _split_dev(items, rng: np.random.Generator):
     idx = rng.permutation(len(items))
-    n_dev = max(1, int(round(len(items) * dev_fraction))) if len(items) > 4 else 0
+    n_dev = max(1, int(round(len(items) * DEV_FRACTION))) if len(items) > 4 else 0
     dev_idx = set(idx[:n_dev].tolist())
     train = [items[i] for i in range(len(items)) if i not in dev_idx]
     dev = [items[i] for i in sorted(dev_idx)]
     return train, dev
 
 
-def _accuracy(model, examples) -> float:
+def _examples(pairs, dev_pairs, cfg: TrainConfig, label):
+    """Train examples, dev examples and the training vocabulary; each
+    example is ``(TokenSequence, label(query))``. Without ``dev_pairs`` a
+    seeded slice of ``pairs`` is held out as the dev set."""
+    if dev_pairs is None:
+        pairs, dev_pairs = _split_dev(list(pairs), np.random.default_rng(cfg.seed))
+
+    def example(pair):
+        return preprocess(pair.question, mention_spans_of(pair)), label(pair.query)
+
+    train_ex = [example(p) for p in pairs]
+    dev_ex = [example(p) for p in dev_pairs]
+    return train_ex, dev_ex, build_vocab(seq for seq, _ in train_ex)
+
+
+def _accuracy(predict, examples) -> float:
+    """Share of examples whose label equals ``predict(seq)``."""
     if not examples:
         return float("nan")
-    hits = sum(1 for seq, y in examples if (model.predict_proba(seq) >= 0.5) == bool(y))
-    return hits / len(examples)
+    return sum(1 for seq, y in examples if predict(seq) == y) / len(examples)
 
 
-def _train_bilstm(key, train_ex, dev_ex, vocab, singleton_ids, cfg: TrainConfig):
-    rng = _model_seed(cfg.seed, key)
-    params = nn.init_params(len(vocab), cfg.d_e, cfg.d_h, 1, rng)
+def _fit(params, train_ex, dev_ex, vocab, cfg: TrainConfig, rng: np.random.Generator,
+         drop_ids=()):
+    """Minibatch Adam on the mean example loss, with early stopping on
+    the summed dev loss. Each epoch visits the examples in an ``rng``
+    order; during training every token id in ``drop_ids`` becomes
+    ``<unk>`` with probability ``UNK_RATE``. Returns the parameters of the
+    best dev epoch, or the last ones without a dev set."""
     opt = nn.Adam(params, lr=cfg.learning_rate)
-    encoded = [(np.array(encode(seq, vocab)), float(y)) for seq, y in train_ex]
-    dev_encoded = [(np.array(encode(seq, vocab)), float(y)) for seq, y in dev_ex]
+    encoded = [(np.array(encode(seq, vocab)), y) for seq, y in train_ex]
+    dev_ids = [np.array(encode(seq, vocab)) for seq, _ in dev_ex]
+    dev_labels = [y for _, y in dev_ex]
+    drop_ids = np.asarray(drop_ids, dtype=int)
     unk = vocab[UNK_TOKEN]
 
     best_loss = np.inf
@@ -218,20 +251,19 @@ def _train_bilstm(key, train_ex, dev_ex, vocab, singleton_ids, cfg: TrainConfig)
             batch = [encoded[i] for i in order[start:start + cfg.batch_size]]
             seqs = []
             for ids, _y in batch:
-                if cfg.unk_rate > 0 and singleton_ids.size:
-                    drop = rng.random(len(ids)) < cfg.unk_rate
-                    ids = np.where(drop & np.isin(ids, singleton_ids), unk, ids)
+                if drop_ids.size:
+                    drop = rng.random(len(ids)) < UNK_RATE
+                    ids = np.where(drop & np.isin(ids, drop_ids), unk, ids)
                 seqs.append(ids)
-            labels = [y for _ids, y in batch]
             if cfg.learning_rate == 0:
                 continue
-            _loss, grads = nn.batch_loss_and_grads(params, seqs, labels, cfg.d_h)
+            _loss, grads = nn.batch_loss_and_grads(params, seqs, [y for _, y in batch],
+                                                   cfg.d_h)
             for name in grads:
                 grads[name] /= len(batch)
             opt.step(grads)
-        if dev_encoded:
-            dev_loss = nn.batch_loss(params, [ids for ids, _ in dev_encoded],
-                                     [y for _, y in dev_encoded], cfg.d_h)
+        if dev_ids:
+            dev_loss = nn.batch_loss(params, dev_ids, dev_labels, cfg.d_h)
             if dev_loss < best_loss - 1e-9:
                 best_loss = dev_loss
                 best_params = {k: v.copy() for k, v in params.items()}
@@ -240,14 +272,17 @@ def _train_bilstm(key, train_ex, dev_ex, vocab, singleton_ids, cfg: TrainConfig)
                 stale += 1
                 if stale > cfg.patience:
                     break
-    if dev_encoded:
-        params = best_params
-    model = PredictorModel(vocab, params, cfg.d_e, cfg.d_h, key)
-    model.dev_accuracy = _accuracy(model, dev_ex if dev_ex else train_ex)
-    return model
+    return best_params if dev_ids else params
 
 
-def _train_bow(key, train_ex, dev_ex, vocab, cfg: TrainConfig):
+def _train_bilstm(key, train_ex, dev_ex, vocab, singleton_ids, cfg: TrainConfig):
+    rng = _model_seed(cfg.seed, key)
+    params = nn.init_params(len(vocab), cfg.d_e, cfg.d_h, 1, rng)
+    params = _fit(params, train_ex, dev_ex, vocab, cfg, rng, singleton_ids)
+    return PredictorModel(vocab, params, cfg.d_e, cfg.d_h, key)
+
+
+def _train_bow(key, train_ex, vocab):
     X = np.zeros((len(train_ex), len(vocab) + 1))
     y = np.zeros(len(train_ex))
     for row, (seq, label) in enumerate(train_ex):
@@ -266,9 +301,7 @@ def _train_bow(key, train_ex, dev_ex, vocab, cfg: TrainConfig):
 
     res = minimize(objective, np.zeros(len(vocab) + 1), jac=True, method="L-BFGS-B",
                    options={"maxiter": 200})
-    model = BowLogisticModel(vocab, res.x, key)
-    model.dev_accuracy = _accuracy(model, dev_ex if dev_ex else train_ex)
-    return model
+    return BowLogisticModel(vocab, res.x, key)
 
 
 def train(pairs, catalog: SubstructureCatalog, cfg: TrainConfig,
@@ -279,23 +312,10 @@ def train(pairs, catalog: SubstructureCatalog, cfg: TrainConfig,
     When ``dev_pairs`` is omitted a deterministic slice of the training
     pairs is held out for early stopping.
     """
-    pairs = list(pairs)
     if not catalog.substructures:
         raise ValueError("catalog has no frequent substructures")
-
-    def example(pair):
-        return (preprocess(pair.question, mention_spans_of(pair)),
-                contained_frequent_keys(pair.query, catalog))
-
-    if dev_pairs is None:
-        rng = np.random.default_rng(cfg.seed)
-        train_pairs, dev_split = _split_dev(pairs, cfg.dev_fraction, rng)
-    else:
-        train_pairs, dev_split = pairs, list(dev_pairs)
-
-    train_items = [example(p) for p in train_pairs]
-    dev_items = [example(p) for p in dev_split]
-    vocab = build_vocab(seq for seq, _ in train_items)
+    train_items, dev_items, vocab = _examples(
+        pairs, dev_pairs, cfg, lambda query: contained_frequent_keys(query, catalog))
     counts: dict[str, int] = {}
     for seq, _ in train_items:
         for tok in seq.tokens:
@@ -319,10 +339,12 @@ def train(pairs, catalog: SubstructureCatalog, cfg: TrainConfig,
             models[key] = ConstantModel(prob, key)
             continue
         if cfg.arch == "bow":
-            models[key] = _train_bow(key, train_ex, dev_ex, vocab, cfg)
+            model = _train_bow(key, train_ex, vocab)
         else:
-            models[key] = _train_bilstm(key, train_ex, dev_ex, vocab,
-                                        singleton_ids, cfg)
+            model = _train_bilstm(key, train_ex, dev_ex, vocab, singleton_ids, cfg)
+        model.dev_accuracy = _accuracy(lambda seq: model.predict_proba(seq) >= 0.5,
+                                       dev_ex or train_ex)
+        models[key] = model
     return models
 
 
@@ -351,8 +373,6 @@ class StructureClassifier:
         return cache["class_probs"]
 
     def rank(self, seq: TokenSequence, catalog: SubstructureCatalog):
-        from .ranking import EXISTING, ScoredStructure
-
         probs = self.probabilities(seq)
         scored = []
         for i, key in enumerate(self.keys):
@@ -365,64 +385,16 @@ class StructureClassifier:
 
 def train_structure_classifier(pairs, catalog: SubstructureCatalog,
                                cfg: TrainConfig, dev_pairs=None) -> StructureClassifier:
-    from .canon import canonical_key
-
-    pairs = list(pairs)
     keys = sorted(catalog.structures, key=StructureKey.sort_key)
     index = {k: i for i, k in enumerate(keys)}
-
-    def example(pair):
-        return (preprocess(pair.question, mention_spans_of(pair)),
-                index[canonical_key(pair.query)])
-
-    if dev_pairs is None:
-        rng = np.random.default_rng(cfg.seed)
-        train_pairs, dev_split = _split_dev(pairs, cfg.dev_fraction, rng)
-    else:
-        train_pairs, dev_split = pairs, list(dev_pairs)
-    train_items = [example(p) for p in train_pairs]
-    dev_items = [example(p) for p in dev_split]
-    vocab = build_vocab(seq for seq, _ in train_items)
-
+    train_ex, dev_ex, vocab = _examples(pairs, dev_pairs, cfg,
+                                        lambda query: index[canonical_key(query)])
     rng = np.random.default_rng([cfg.seed, len(keys)])
     params = nn.init_params(len(vocab), cfg.d_e, cfg.d_h, len(keys), rng)
-    opt = nn.Adam(params, lr=cfg.learning_rate)
-    encoded = [(np.array(encode(seq, vocab)), y) for seq, y in train_items]
-    dev_encoded = [(np.array(encode(seq, vocab)), y) for seq, y in dev_items]
-
-    best_loss = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
-    stale = 0
-    for _epoch in range(cfg.epochs):
-        order = rng.permutation(len(encoded))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [encoded[i] for i in order[start:start + cfg.batch_size]]
-            if cfg.learning_rate == 0:
-                continue
-            _loss, grads = nn.batch_loss_and_grads(
-                params, [ids for ids, _ in batch], [y for _, y in batch], cfg.d_h)
-            for name in grads:
-                grads[name] /= len(batch)
-            opt.step(grads)
-        if dev_encoded:
-            dev_loss = nn.batch_loss(params, [ids for ids, _ in dev_encoded],
-                                     [y for _, y in dev_encoded], cfg.d_h)
-            if dev_loss < best_loss - 1e-9:
-                best_loss = dev_loss
-                best_params = {k: v.copy() for k, v in params.items()}
-                stale = 0
-            else:
-                stale += 1
-                if stale > cfg.patience:
-                    break
-    if dev_encoded:
-        params = best_params
+    params = _fit(params, train_ex, dev_ex, vocab, cfg, rng)
     clf = StructureClassifier(vocab, params, cfg.d_h, keys)
-    eval_items = dev_items if dev_items else train_items
-    if eval_items:
-        hits = sum(1 for seq, y in eval_items
-                   if int(np.argmax(clf.probabilities(seq))) == y)
-        clf.dev_accuracy = hits / len(eval_items)
+    clf.dev_accuracy = _accuracy(lambda seq: int(np.argmax(clf.probabilities(seq))),
+                                 dev_ex or train_ex)
     return clf
 
 
@@ -430,15 +402,6 @@ def train_structure_classifier(pairs, catalog: SubstructureCatalog,
 # persistence
 
 MODEL_VERSION = 1
-
-
-def _key_doc(key: StructureKey) -> dict:
-    return {"canonical": key.canonical, "triple_count": key.triple_count,
-            "agg_count": key.agg_count}
-
-
-def _key_from_doc(doc) -> StructureKey:
-    return StructureKey(doc["canonical"], doc["triple_count"], doc["agg_count"])
 
 
 def save_models(models: dict[StructureKey, object], directory,
@@ -452,7 +415,7 @@ def save_models(models: dict[StructureKey, object], directory,
     for i, key in enumerate(sorted(models, key=StructureKey.sort_key)):
         model = models[key]
         fname = f"model_{i:04d}.npz"
-        meta = {"key": _key_doc(key), "dev_accuracy": model.dev_accuracy}
+        meta = {"key": key_to_json(key), "dev_accuracy": model.dev_accuracy}
         arrays = {}
         if isinstance(model, PredictorModel):
             meta.update(kind="bilstm", d_e=model.d_e, d_h=model.d_h,
@@ -467,7 +430,7 @@ def save_models(models: dict[StructureKey, object], directory,
             raise TypeError(f"cannot save {type(model).__name__}")
         np.savez(directory / fname, __meta__=np.frombuffer(
             json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-        manifest["models"].append({"file": fname, "key": _key_doc(key),
+        manifest["models"].append({"file": fname, "key": key_to_json(key),
                                    "dev_accuracy": model.dev_accuracy,
                                    "kind": meta["kind"]})
     with open(directory / "manifest.json", "w", encoding="utf-8") as f:
@@ -484,7 +447,7 @@ def load_models(directory) -> dict[StructureKey, object]:
     for item in manifest["models"]:
         data = np.load(directory / item["file"])
         meta = json.loads(bytes(data["__meta__"]).decode())
-        key = _key_from_doc(meta["key"])
+        key = key_from_json(meta["key"])
         if meta["kind"] == "bilstm":
             params = {k: data[k] for k in data.files if k != "__meta__"}
             model = PredictorModel(meta["vocab"], params, meta["d_e"], meta["d_h"],

@@ -14,12 +14,13 @@ scores exactly 0 and 1.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 from .canon import StructureKey
 from .graph import QueryGraph
-from .mining import SubstructureCatalog, contained_frequent_keys
+from .mining import SubstructureCatalog, contained_frequent_keys, graph_to_json
 
 PROB_CLAMP = 1e-6
 
@@ -108,10 +109,6 @@ def rank_existing(probs: dict[StructureKey, float],
 def write_ranked_jsonl(ranked: list[ScoredStructure], fp) -> None:
     """Emit a ranked structure list as JSON lines:
     {rank, key, score, provenance, representative}."""
-    import json
-
-    from .mining import graph_to_json
-
     for rank, s in enumerate(ranked):
         fp.write(json.dumps({
             "rank": rank,

@@ -13,8 +13,11 @@ structure reachable only by merging.
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .grounding import DictionaryLinker
 from .kb import KnowledgeBase, Schema
@@ -247,8 +250,6 @@ _FILLERS = ["exactly", "really", "originally", "reportedly", "ultimately",
 
 
 def build_signal_corpus(n: int = 2000, seed: int = 5) -> list[TrainingPair]:
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     names = sorted(SURFACES)
     pairs = []
@@ -302,8 +303,6 @@ DATA_FILES = ("mini_dataset.json", "toy_kb.tsv", "toy_schema.txt",
 
 
 def write_files(outdir) -> None:
-    import json
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "mini_dataset.json", "w", encoding="utf-8") as f:

@@ -315,8 +315,7 @@ def reference_merge_substructures(probs, catalog, cfg) -> list[tuple[str, float]
         for skey in contained:
             srep = catalog.substructures[skey].representative
             for mkey in sorted(current, key=lambda k: k.sort_key()):
-                for ckey, crep in merge_pair(srep, current[mkey], cfg.max_shared_vertices,
-                                             cfg.max_shared_labels).items():
+                for ckey, crep in merge_pair(srep, current[mkey]).items():
                     if passes_restrictions(crep, cfg) and score(ckey, crep) > cfg.theta:
                         merged[ckey] = crep
         best = sorted(merged, key=lambda k: (-scores[k], k.sort_key()))[:cfg.beam]

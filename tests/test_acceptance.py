@@ -147,8 +147,7 @@ def test_criterion_4_planted_merge_soundness():
     for s in out:
         assert s.representative.is_connected()
         assert s.representative.triple_count <= 5
-        from kbqg.merging import aggregation_count
-        assert aggregation_count(s.representative) <= 2
+        assert s.representative.aggregation_count <= 2
     _report(4, f"gold unseen structure produced; all {len(out)} outputs "
                f"connected, <=5 triples, <=2 aggregations")
 

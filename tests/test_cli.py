@@ -2,7 +2,10 @@
 
 import json
 
+from kbqg import cli
 from kbqg.cli import main
+from kbqg.merging import ROUND_COUNTS
+from kbqg.pipeline import QueryGenerator
 
 
 def test_mine_writes_catalog(tmp_path, capsys):
@@ -29,6 +32,34 @@ def test_train_and_generate(tmp_path, capsys):
     assert "ranked structures" in out
     assert ":S_Kubrick" in out
     assert "    -> {:S_Kubrick}\n" in out
+
+
+def test_generate_dump_merged_rounds_from_a_stateless_generator(tmp_path, capsys,
+                                                                monkeypatch):
+    unchanged = []
+
+    class Checked(QueryGenerator):
+        def generate(self, *args, **kwargs):
+            before = dict(vars(self))
+            trace = super().generate(*args, **kwargs)
+            after = vars(self)
+            unchanged.append(before.keys() == after.keys()
+                             and all(after[k] is v for k, v in before.items()))
+            return trace
+
+    monkeypatch.setattr(cli, "QueryGenerator", Checked)
+    dump = tmp_path / "merged.json"
+    main(["generate", "--setting", "full", "--predictor", "bow", "--gamma", "2",
+          "--dump-merged", str(dump), "how many films did Stanley Kubrick direct?"])
+    assert "-> =3" in capsys.readouterr().out
+    assert unchanged == [True]
+    rounds = json.loads(dump.read_text())
+    assert [r["round"] for r in rounds] == list(range(len(rounds)))
+    assert len(rounds) > 1
+    for r in rounds:
+        assert set(ROUND_COUNTS) <= r.keys()
+        others = sum(r[c] for c in ROUND_COUNTS if c != "generated")
+        assert r["generated"] == others + len(r["members"])
 
 
 def test_eval_oracle_single_fold(tmp_path, capsys):

@@ -37,12 +37,11 @@ def test_is_substructure_agrees_with_enumeration(seed_g, seed_h):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seeds, seeds, st.integers(1, 7), st.integers(0, 2), st.booleans())
-def test_restricted_merge_pair_is_filtered_merge_pair(seed_a, seed_b, tau, delta,
-                                                      order_as_agg):
+@given(seeds, seeds, st.integers(1, 7), st.integers(0, 2))
+def test_restricted_merge_pair_is_filtered_merge_pair(seed_a, seed_b, tau, delta):
     a = random_graph(random.Random(seed_a), max_triples=3)
     b = random_graph(random.Random(seed_b), max_triples=3)
-    cfg = MergeConfig(tau=tau, delta=delta, count_order_as_agg=order_as_agg)
+    cfg = MergeConfig(tau=tau, delta=delta)
     expected = {k: v for k, v in merge_pair(a, b).items() if passes_restrictions(v, cfg)}
     counts = Counter()
     assert merge_pair(a, b, restrict=cfg, counts=counts) == expected

@@ -7,7 +7,6 @@ from kbqg.graph import QueryGraph
 from kbqg.merging import (
     ROUND_COUNTS,
     MergeConfig,
-    aggregation_count,
     merge_pair,
     merge_substructures,
     passes_restrictions,
@@ -80,8 +79,7 @@ def test_restriction_filter_and_idempotence():
     counted = parse_query(
         "SELECT (COUNT(?x) AS ?c) WHERE { ?x :p :E . ?x :q ?y } "
         "ORDER BY DESC(?y) LIMIT 1")
-    assert aggregation_count(counted) == 2
-    assert aggregation_count(counted, count_order_as_agg=False) == 1
+    assert counted.aggregation_count == 2
     assert not passes_restrictions(strip_target(counted), cfg)
     # filtering twice equals filtering once
     graphs = [strip_target(small), strip_target(big), strip_target(counted)]
