@@ -8,6 +8,25 @@ layer for multi-class. The backward pass is written by hand and verified
 against central finite differences in the test suite, so everything runs
 in float64.
 
+Both passes run over a minibatch of B sequences at once. The token ids
+are padded on the right with id 0 to the longest length T, and a (B, T)
+mask marks the real positions. The only Python loop is over time: the
+LSTM works on time-major arrays (T, 2, B, d), so each step updates all B
+sequences in both directions at once, and attention and the output head
+work on (B, T, 2H) and (B, 2H). Masking makes each sequence's outputs
+and gradients those of the sequence run alone:
+
+- the backward-direction LSTM reads each sequence reversed within its
+  own length, so in both directions the padding comes after every real
+  position and never reaches a real position's state;
+- attention scores at padded positions are -inf, so their weights are 0;
+- the gradient reaching the LSTM states is zero at padded positions;
+- the embedding gradient is taken from real tokens only (the pad id 0 is
+  also the id of ``<entity>``).
+
+``forward`` and ``backward`` on one sequence are calls with a batch of
+one.
+
 Parameter names (H = hidden units per direction, E = embedding size):
   emb (V,E);  W_f,W_b (4H,E+H);  b_f,b_b (4H,)   gate order i,f,o,g
   W_att (2H,2H); b_att,v_att (2H,);  W_out (n_out,2H); b_out (n_out,)
@@ -19,17 +38,16 @@ import numpy as np
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never
+    overflows."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def softmax(x):
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
+    """Softmax over the last axis."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def init_params(vocab_size: int, d_e: int, d_h: int, n_out: int,
@@ -60,161 +78,189 @@ def zeros_like_params(params):
     return {name: np.zeros_like(p) for name, p in params.items()}
 
 
+def _pad(sequences):
+    """Padded ids (B, T), the mask of real positions (B, T), and the
+    index (B, T) that reverses each sequence within its own length (and
+    maps every padded position to itself)."""
+    seqs = [np.asarray(s, dtype=int) for s in sequences]
+    lengths = np.array([len(s) for s in seqs])
+    if not seqs or lengths.min() == 0:
+        raise ValueError("empty token sequence")
+    steps = np.arange(lengths.max())
+    mask = steps < lengths[:, None]
+    ids = np.zeros(mask.shape, dtype=int)
+    ids[mask] = np.concatenate(seqs)
+    rev = np.where(mask, lengths[:, None] - 1 - steps, steps)
+    return ids, mask, rev
+
+
 def _lstm_forward(X, W, b, d_h):
-    T = X.shape[0]
-    H = np.zeros((T, d_h))
-    cache = []
-    h = np.zeros(d_h)
-    c = np.zeros(d_h)
+    """Both LSTM directions over time-major inputs X (T, 2, B, E), with
+    weights W (2, 4H, E+H) and biases b (2, 4H): the states (T, 2, B, d_h)
+    and what ``_lstm_backward`` needs."""
+    T, D, B, d_e = X.shape
+    zcat = np.empty((T, D, B, d_e + d_h))  # [x_t, h_{t-1}] of every step
+    zcat[..., :d_e] = X
+    ifo = np.empty((T, D, B, 3 * d_h))
+    g = np.empty((T, D, B, d_h))
+    c = np.zeros((T + 1, D, B, d_h))       # c[t] is the cell state before step t
+    tc = np.empty((T, D, B, d_h))
+    H = np.empty((T, D, B, d_h))
+    h = np.zeros((D, B, d_h))
+    Wt = W.transpose(0, 2, 1)
+    b = b[:, None, :]
     for t in range(T):
-        zcat = np.concatenate([X[t], h])
-        z = W @ zcat + b
-        i = sigmoid(z[:d_h])
-        f = sigmoid(z[d_h:2 * d_h])
-        o = sigmoid(z[2 * d_h:3 * d_h])
-        g = np.tanh(z[3 * d_h:])
-        c_prev = c
-        c = f * c_prev + i * g
-        h = o * np.tanh(c)
-        H[t] = h
-        cache.append((zcat, i, f, o, g, c_prev, c))
-    return H, cache
+        zcat[t, ..., d_e:] = h
+        z = zcat[t] @ Wt + b
+        ifo[t] = sigmoid(z[..., :3 * d_h])
+        g[t] = np.tanh(z[..., 3 * d_h:])
+        c[t + 1] = ifo[t, ..., d_h:2 * d_h] * c[t] + ifo[t, ..., :d_h] * g[t]
+        tc[t] = np.tanh(c[t + 1])
+        h = H[t] = ifo[t, ..., 2 * d_h:] * tc[t]
+    return H, (zcat, ifo, g, c, tc)
 
 
-def _lstm_backward(dH, cache, W, d_h, d_e):
-    T = dH.shape[0]
-    dW = np.zeros_like(W)
-    db = np.zeros(4 * d_h)
-    dX = np.zeros((T, d_e))
-    dh_next = np.zeros(d_h)
-    dc_next = np.zeros(d_h)
+def _lstm_backward(dH, W, cache, d_e):
+    """Gradients of both LSTM directions from dL/dH (T, 2, B, d_h): the
+    input gradient (T, 2, B, E), dW and db."""
+    zcat, ifo, g, c, tc = cache
+    T, D, B, d_h = dH.shape
+    dz = np.empty((T, D, B, 4 * d_h))
+    dX = np.empty((T, D, B, d_e))
+    dh_next = np.zeros((D, B, d_h))
+    dc_next = np.zeros((D, B, d_h))
     for t in range(T - 1, -1, -1):
-        zcat, i, f, o, g, c_prev, c = cache[t]
-        tc = np.tanh(c)
         dh = dH[t] + dh_next
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            do * o * (1.0 - o),
-            dg * (1.0 - g * g),
-        ])
-        dW += np.outer(dz, zcat)
-        db += dz
-        dzcat = W.T @ dz
-        dX[t] = dzcat[:d_e]
-        dh_next = dzcat[d_e:]
-        dc_next = dc * f
-    return dX, dW, db
+        dc = dh * ifo[t, ..., 2 * d_h:] * (1.0 - tc[t] * tc[t]) + dc_next
+        d = dz[t]
+        d[..., :d_h] = dc * g[t]                 # di
+        d[..., d_h:2 * d_h] = dc * c[t]          # df
+        d[..., 2 * d_h:3 * d_h] = dh * tc[t]     # do
+        d[..., :3 * d_h] *= ifo[t]
+        d[..., :3 * d_h] *= 1.0 - ifo[t]
+        d[..., 3 * d_h:] = dc * ifo[t, ..., :d_h] * (1.0 - g[t] * g[t])
+        dzcat = d @ W
+        dX[t] = dzcat[..., :d_e]
+        dh_next = dzcat[..., d_e:]
+        dc_next = dc * ifo[t, ..., d_h:2 * d_h]
+    dz = dz.transpose(1, 0, 2, 3).reshape(D, T * B, -1)
+    dW = dz.transpose(0, 2, 1) @ zcat.transpose(1, 0, 2, 3).reshape(D, T * B, -1)
+    return dX, dW, dz.sum(axis=1)
+
+
+def forward_batch(params: dict, sequences, d_h: int) -> dict:
+    """Run the network over a batch of token-id sequences.
+
+    Returns a cache holding every intermediate needed by :func:`backward`,
+    plus ``prob`` (B,) for a binary head or ``class_probs`` (B, n_out) for
+    a softmax head, and the attention weights ``attention`` (B, T), zero
+    at padded positions.
+    """
+    ids, mask, rev = _pad(sequences)
+    rows = np.arange(len(ids))[:, None]
+    W = np.stack([params["W_f"], params["W_b"]])
+    b = np.stack([params["b_f"], params["b_b"]])
+    X = params["emb"][np.stack([ids.T, ids[rows, rev].T], axis=1)]
+    H, cache_lstm = _lstm_forward(X, W, b, d_h)
+    H2 = np.concatenate([H[:, 0].transpose(1, 0, 2), H[:, 1][rev, rows]], axis=2)
+
+    U = np.tanh(H2 @ params["W_att"].T + params["b_att"])
+    attention = softmax(np.where(mask, U @ params["v_att"], -np.inf))
+    q = (attention[:, None, :] @ H2)[:, 0]
+    logits = q @ params["W_out"].T + params["b_out"]
+
+    cache = {
+        "ids": ids, "mask": mask, "rev": rev, "d_h": d_h, "W": W,
+        "cache_lstm": cache_lstm, "H2": H2,
+        "U": U, "attention": attention, "q": q, "logits": logits,
+    }
+    if logits.shape[1] == 1:
+        cache["prob"] = sigmoid(logits[:, 0])
+    else:
+        cache["class_probs"] = softmax(logits)
+    return cache
 
 
 def forward(params: dict, token_ids, d_h: int) -> dict:
-    """Run the network over one token-id sequence.
-
-    Returns a cache holding every intermediate needed by :func:`backward`,
-    plus ``prob`` (binary head), ``class_probs`` (softmax head), and the
-    attention weights ``alpha``.
-    """
-    ids = np.asarray(token_ids, dtype=int)
-    X = params["emb"][ids]
-    d_e = X.shape[1]
-    Hf, cache_f = _lstm_forward(X, params["W_f"], params["b_f"], d_h)
-    Hb_rev, cache_b = _lstm_forward(X[::-1], params["W_b"], params["b_b"], d_h)
-    Hb = Hb_rev[::-1]
-    H2 = np.concatenate([Hf, Hb], axis=1)
-
-    U = np.tanh(H2 @ params["W_att"].T + params["b_att"])
-    scores = U @ params["v_att"]
-    alpha = softmax(scores)
-    q = alpha @ H2
-    logits = params["W_out"] @ q + params["b_out"]
-
-    out = {
-        "ids": ids, "X": X, "d_e": d_e, "d_h": d_h,
-        "cache_f": cache_f, "cache_b": cache_b, "H2": H2,
-        "U": U, "alpha": alpha, "q": q, "logits": logits,
-    }
-    if logits.shape[0] == 1:
-        out["prob"] = float(sigmoid(logits)[0])
+    """Run the network over one token-id sequence: the cache of a batch
+    of one, with ``prob`` (binary head) a float, ``class_probs`` (softmax
+    head) a vector, and the sequence's attention weights ``alpha``."""
+    cache = forward_batch(params, [token_ids], d_h)
+    cache["alpha"] = cache["attention"][0]
+    if "prob" in cache:
+        cache["prob"] = float(cache["prob"][0])
     else:
-        out["class_probs"] = softmax(logits)
-    return out
+        cache["class_probs"] = cache["class_probs"][0]
+    return cache
 
 
 def loss_from_cache(cache: dict, y) -> float:
-    """Stable loss of one example: binary cross-entropy on the logit, or
-    multi-class cross-entropy."""
+    """Stable loss summed over the batch: binary cross-entropy on the
+    logit, or multi-class cross-entropy. ``y`` holds one label per
+    sequence, or is a single label for a batch of one."""
     logits = cache["logits"]
-    if logits.shape[0] == 1:
-        l = logits[0]
-        return float(max(l, 0.0) - l * y + np.log1p(np.exp(-abs(l))))
-    m = logits.max()
-    lse = m + np.log(np.exp(logits - m).sum())
-    return float(lse - logits[int(y)])
+    y = np.atleast_1d(y)
+    if logits.shape[1] == 1:
+        l = logits[:, 0]
+        losses = np.maximum(l, 0.0) - l * y + np.log1p(np.exp(-np.abs(l)))
+    else:
+        m = logits.max(axis=1)
+        lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+        losses = lse - logits[np.arange(len(y)), y.astype(int)]
+    return float(losses.sum())
 
 
 def backward(params: dict, cache: dict, y) -> dict:
-    """Gradients of the single-example loss for every parameter tensor."""
+    """Gradients of :func:`loss_from_cache` for every parameter tensor,
+    summed over the batch."""
     d_h = cache["d_h"]
-    d_e = cache["d_e"]
-    H2 = cache["H2"]
-    alpha = cache["alpha"]
-    U = cache["U"]
+    d_e = params["emb"].shape[1]
+    mask, rev, H2, U = cache["mask"], cache["rev"], cache["H2"], cache["U"]
+    alpha = cache["attention"]
     logits = cache["logits"]
+    rows = np.arange(len(logits))[:, None]
+    y = np.atleast_1d(y)
 
-    if logits.shape[0] == 1:
-        dlogits = np.array([sigmoid(logits)[0] - y])
+    if logits.shape[1] == 1:
+        dlogits = sigmoid(logits) - y[:, None]
     else:
         dlogits = softmax(logits)
-        dlogits[int(y)] -= 1.0
+        dlogits[rows[:, 0], y.astype(int)] -= 1.0
 
-    grads = zeros_like_params(params)
-    grads["W_out"] = np.outer(dlogits, cache["q"])
-    grads["b_out"] = dlogits
-    dq = params["W_out"].T @ dlogits
+    grads = {"W_out": dlogits.T @ cache["q"], "b_out": dlogits.sum(axis=0)}
+    dq = dlogits @ params["W_out"]
 
-    dalpha = H2 @ dq
-    dH2 = np.outer(alpha, dq)
-    dscores = alpha * (dalpha - float(alpha @ dalpha))
-    grads["v_att"] = U.T @ dscores
-    dU = np.outer(dscores, params["v_att"])
-    dpre = dU * (1.0 - U * U)
-    grads["W_att"] = dpre.T @ H2
-    grads["b_att"] = dpre.sum(axis=0)
+    dalpha = (H2 @ dq[:, :, None])[:, :, 0]
+    dH2 = alpha[:, :, None] * dq[:, None, :]
+    dscores = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    grads["v_att"] = np.einsum("btk,bt->k", U, dscores)
+    dpre = dscores[:, :, None] * params["v_att"] * (1.0 - U * U)
+    width = 2 * d_h
+    grads["W_att"] = dpre.reshape(-1, width).T @ H2.reshape(-1, width)
+    grads["b_att"] = dpre.sum(axis=(0, 1))
     dH2 += dpre @ params["W_att"]
+    dH2[~mask] = 0.0
 
-    dX_f, dW_f, db_f = _lstm_backward(dH2[:, :d_h], cache["cache_f"],
-                                      params["W_f"], d_h, d_e)
-    dX_b_rev, dW_b, db_b = _lstm_backward(dH2[::-1, d_h:], cache["cache_b"],
-                                          params["W_b"], d_h, d_e)
-    grads["W_f"], grads["b_f"] = dW_f, db_f
-    grads["W_b"], grads["b_b"] = dW_b, db_b
+    dH = np.stack([dH2[:, :, :d_h].transpose(1, 0, 2),
+                   dH2[rows, rev, d_h:].transpose(1, 0, 2)], axis=1)
+    dXs, dW, db = _lstm_backward(dH, cache["W"], cache["cache_lstm"], d_e)
+    grads["W_f"], grads["W_b"] = dW
+    grads["b_f"], grads["b_b"] = db
+    dX = dXs[:, 0].transpose(1, 0, 2) + dXs[:, 1][rev, rows]
 
-    dX = dX_f + dX_b_rev[::-1]
-    np.add.at(grads["emb"], cache["ids"], dX)
-    return grads
+    grads["emb"] = np.zeros_like(params["emb"])
+    np.add.at(grads["emb"], cache["ids"][mask], dX[mask])
+    return {name: grads[name] for name in params}
 
 
 def batch_loss_and_grads(params: dict, sequences, labels, d_h: int):
     """Summed loss and summed gradients over a batch of sequences."""
-    total = 0.0
-    grads = zeros_like_params(params)
-    for ids, y in zip(sequences, labels):
-        cache = forward(params, ids, d_h)
-        total += loss_from_cache(cache, y)
-        g = backward(params, cache, y)
-        for name in grads:
-            grads[name] += g[name]
-    return total, grads
+    cache = forward_batch(params, sequences, d_h)
+    return loss_from_cache(cache, labels), backward(params, cache, labels)
 
 
 def batch_loss(params: dict, sequences, labels, d_h: int) -> float:
-    return sum(loss_from_cache(forward(params, ids, d_h), y)
-               for ids, y in zip(sequences, labels))
+    return loss_from_cache(forward_batch(params, sequences, d_h), labels)
 
 
 class Adam:

@@ -27,6 +27,11 @@ from .ranking import ScoredStructure, rank_existing
 SETTINGS = ("full", "rank-w-sub", "rank-wo-sub", "merge-only")
 
 
+class ModelCatalogMismatchError(ValueError):
+    """The predictor models do not cover exactly the catalog's frequent
+    substructures."""
+
+
 @dataclass
 class Trace:
     question: str
@@ -65,6 +70,13 @@ class QueryGenerator:
             raise ValueError(f"unknown setting {setting!r}")
         if setting == "rank-wo-sub" and structure_classifier is None:
             raise ValueError("rank-wo-sub needs a structure classifier")
+        frequent = catalog.substructures.keys()
+        if models and models.keys() != frequent:
+            missing = sorted(k.canonical for k in frequent - models.keys())
+            extra = sorted(k.canonical for k in models.keys() - frequent)
+            raise ModelCatalogMismatchError(
+                f"models do not match the catalog's frequent substructures: "
+                f"missing {missing}, extra {extra}")
         self.catalog = catalog
         self.models = models
         self.kb = kb

@@ -14,7 +14,10 @@ falls back to a constant predictor at the clamped label prevalence.
 The rank-without-substructures ablation instead trains one softmax
 classifier over whole structures. It and the per-substructure BiLSTMs
 share one example builder (``_examples``) and one training loop
-(``_fit``: minibatch Adam with early stopping on the dev loss).
+(``_fit``: minibatch Adam with early stopping on the dev loss). The loop
+hands the network whole padded minibatches (``nn.batch_loss_and_grads``),
+so each minibatch, each epoch's dev loss and the final dev accuracy is
+one batched call; models are trained one after another, never stacked.
 """
 
 from __future__ import annotations
@@ -221,11 +224,11 @@ def _examples(pairs, dev_pairs, cfg: TrainConfig, label):
     return train_ex, dev_ex, build_vocab(seq for seq, _ in train_ex)
 
 
-def _accuracy(predict, examples) -> float:
-    """Share of examples whose label equals ``predict(seq)``."""
-    if not examples:
+def _accuracy(predicted, labels) -> float:
+    """Share of positions where ``predicted`` equals ``labels``."""
+    if not len(labels):
         return float("nan")
-    return sum(1 for seq, y in examples if predict(seq) == y) / len(examples)
+    return float(np.mean(np.asarray(predicted) == np.asarray(labels)))
 
 
 def _fit(params, train_ex, dev_ex, vocab, cfg: TrainConfig, rng: np.random.Generator,
@@ -233,13 +236,19 @@ def _fit(params, train_ex, dev_ex, vocab, cfg: TrainConfig, rng: np.random.Gener
     """Minibatch Adam on the mean example loss, with early stopping on
     the summed dev loss. Each epoch visits the examples in an ``rng``
     order; during training every token id in ``drop_ids`` becomes
-    ``<unk>`` with probability ``UNK_RATE``. Returns the parameters of the
-    best dev epoch, or the last ones without a dev set."""
+    ``<unk>`` with probability ``UNK_RATE``. Each minibatch, each dev
+    loss and the final accuracy is one batched network call. Returns the
+    parameters of the best dev epoch (the last ones without a dev set)
+    and their accuracy on the dev examples (the training examples without
+    a dev set): ``prob >= 0.5`` for a binary head, the argmax class for a
+    softmax head."""
     opt = nn.Adam(params, lr=cfg.learning_rate)
     encoded = [(np.array(encode(seq, vocab)), y) for seq, y in train_ex]
     dev_ids = [np.array(encode(seq, vocab)) for seq, _ in dev_ex]
     dev_labels = [y for _, y in dev_ex]
     drop_ids = np.asarray(drop_ids, dtype=int)
+    droppable = np.zeros(len(vocab), dtype=bool)
+    droppable[drop_ids] = True
     unk = vocab[UNK_TOKEN]
 
     best_loss = np.inf
@@ -253,7 +262,7 @@ def _fit(params, train_ex, dev_ex, vocab, cfg: TrainConfig, rng: np.random.Gener
             for ids, _y in batch:
                 if drop_ids.size:
                     drop = rng.random(len(ids)) < UNK_RATE
-                    ids = np.where(drop & np.isin(ids, drop_ids), unk, ids)
+                    ids = np.where(drop & droppable[ids], unk, ids)
                 seqs.append(ids)
             if cfg.learning_rate == 0:
                 continue
@@ -272,14 +281,22 @@ def _fit(params, train_ex, dev_ex, vocab, cfg: TrainConfig, rng: np.random.Gener
                 stale += 1
                 if stale > cfg.patience:
                     break
-    return best_params if dev_ids else params
+    if dev_ids:
+        params = best_params
+    else:
+        dev_ids, dev_labels = [ids for ids, _ in encoded], [y for _, y in encoded]
+    predicted = []
+    if dev_ids:
+        out = nn.forward_batch(params, dev_ids, cfg.d_h)
+        predicted = out["prob"] >= 0.5 if "prob" in out else out["class_probs"].argmax(axis=1)
+    return params, _accuracy(predicted, dev_labels)
 
 
 def _train_bilstm(key, train_ex, dev_ex, vocab, singleton_ids, cfg: TrainConfig):
     rng = _model_seed(cfg.seed, key)
     params = nn.init_params(len(vocab), cfg.d_e, cfg.d_h, 1, rng)
-    params = _fit(params, train_ex, dev_ex, vocab, cfg, rng, singleton_ids)
-    return PredictorModel(vocab, params, cfg.d_e, cfg.d_h, key)
+    params, accuracy = _fit(params, train_ex, dev_ex, vocab, cfg, rng, singleton_ids)
+    return PredictorModel(vocab, params, cfg.d_e, cfg.d_h, key, accuracy)
 
 
 def _train_bow(key, train_ex, vocab):
@@ -340,10 +357,12 @@ def train(pairs, catalog: SubstructureCatalog, cfg: TrainConfig,
             continue
         if cfg.arch == "bow":
             model = _train_bow(key, train_ex, vocab)
+            scored = dev_ex or train_ex
+            model.dev_accuracy = _accuracy(
+                [model.predict_proba(seq) >= 0.5 for seq, _ in scored],
+                [y for _, y in scored])
         else:
             model = _train_bilstm(key, train_ex, dev_ex, vocab, singleton_ids, cfg)
-        model.dev_accuracy = _accuracy(lambda seq: model.predict_proba(seq) >= 0.5,
-                                       dev_ex or train_ex)
         models[key] = model
     return models
 
@@ -391,11 +410,8 @@ def train_structure_classifier(pairs, catalog: SubstructureCatalog,
                                         lambda query: index[canonical_key(query)])
     rng = np.random.default_rng([cfg.seed, len(keys)])
     params = nn.init_params(len(vocab), cfg.d_e, cfg.d_h, len(keys), rng)
-    params = _fit(params, train_ex, dev_ex, vocab, cfg, rng)
-    clf = StructureClassifier(vocab, params, cfg.d_h, keys)
-    clf.dev_accuracy = _accuracy(lambda seq: int(np.argmax(clf.probabilities(seq))),
-                                 dev_ex or train_ex)
-    return clf
+    params, accuracy = _fit(params, train_ex, dev_ex, vocab, cfg, rng)
+    return StructureClassifier(vocab, params, cfg.d_h, keys, accuracy)
 
 
 # ---------------------------------------------------------------------------
@@ -445,17 +461,17 @@ def load_models(directory) -> dict[StructureKey, object]:
         raise ValueError(f"unsupported model version {manifest.get('version')!r}")
     models: dict[StructureKey, object] = {}
     for item in manifest["models"]:
-        data = np.load(directory / item["file"])
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        key = key_from_json(meta["key"])
-        if meta["kind"] == "bilstm":
-            params = {k: data[k] for k in data.files if k != "__meta__"}
-            model = PredictorModel(meta["vocab"], params, meta["d_e"], meta["d_h"],
-                                   key, meta["dev_accuracy"])
-        elif meta["kind"] == "bow":
-            model = BowLogisticModel(meta["vocab"], data["weights"], key,
-                                     meta["dev_accuracy"])
-        else:
-            model = ConstantModel(meta["probability"], key, meta["dev_accuracy"])
+        with np.load(directory / item["file"]) as data:
+            meta = json.loads(bytes(data["__meta__"]).decode())
+            key = key_from_json(meta["key"])
+            if meta["kind"] == "bilstm":
+                params = {k: data[k] for k in data.files if k != "__meta__"}
+                model = PredictorModel(meta["vocab"], params, meta["d_e"], meta["d_h"],
+                                       key, meta["dev_accuracy"])
+            elif meta["kind"] == "bow":
+                model = BowLogisticModel(meta["vocab"], data["weights"], key,
+                                         meta["dev_accuracy"])
+            else:
+                model = ConstantModel(meta["probability"], key, meta["dev_accuracy"])
         models[key] = model
     return models

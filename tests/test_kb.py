@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -56,6 +57,24 @@ def test_load_kb_rejects_space_separated_line(tmp_path):
     path.write_text(":a\t:p\t:b\n:c :p :d\n", encoding="utf-8")
     with pytest.raises(KbParseError, match=f"{path}:2:"):
         load_kb(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_kb_leaves_gc_state_as_it_was(tmp_path, enabled):
+    good = tmp_path / "kb.tsv"
+    good.write_text(":a\t:p\t:b\n:a\ta\t:C\n", encoding="utf-8")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text(":a\t:p\t:b\nonly two\n", encoding="utf-8")
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert load_kb(good).classes_of(":a") == {":C"}
+        assert gc.isenabled() is enabled
+        with pytest.raises(KbParseError):
+            load_kb(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_class_index_matches_types():

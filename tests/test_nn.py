@@ -1,9 +1,11 @@
 """Network internals: forward-pass oracle agreement, gradient checks,
-attention normalization, loss identities."""
+attention normalization, loss identities, and padded minibatches against
+the same sequences run alone."""
 
 import math
 
 import numpy as np
+import pytest
 
 from kbqg import nn
 
@@ -154,3 +156,75 @@ def test_adam_zero_lr_is_identity():
     opt.step(grads)
     for name in params:
         np.testing.assert_array_equal(params[name], before[name])
+
+
+# ---------------------------------------------------------------------------
+# padded, masked minibatches
+
+# mixed lengths; id 0 (the pad id, also <entity>) at real positions,
+# including a sequence of only id 0 and a length-1 sequence
+MIXED = [[2, 7, 0, 5, 1], [4], [0, 0, 3], [8, 6, 1, 2, 3, 0, 4], [0]]
+
+
+def test_mixed_length_batch_matches_each_sequence_alone():
+    for n_out, labels in ((1, [1.0, 0.0, 1.0, 0.0, 1.0]), (3, [2, 0, 1, 1, 0])):
+        params = tiny_params(seed=61, n_out=n_out)
+        cache = nn.forward_batch(params, MIXED, 4)
+        summed = nn.zeros_like_params(params)
+        for b, (ids, y) in enumerate(zip(MIXED, labels)):
+            alone = nn.forward(params, ids, 4)
+            if n_out == 1:
+                assert abs(cache["prob"][b] - alone["prob"]) <= 1e-12
+            else:
+                np.testing.assert_allclose(cache["class_probs"][b], alone["class_probs"],
+                                           rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cache["attention"][b, :len(ids)], alone["alpha"],
+                                       rtol=0, atol=1e-12)
+            assert (cache["attention"][b, len(ids):] == 0.0).all()
+            for name, g in nn.backward(params, alone, y).items():
+                summed[name] += g
+        loss, grads = nn.batch_loss_and_grads(params, MIXED, labels, 4)
+        alone_loss = sum(nn.loss_from_cache(nn.forward(params, ids, 4), y)
+                         for ids, y in zip(MIXED, labels))
+        assert abs(loss - alone_loss) <= 1e-12
+        for name in params:
+            np.testing.assert_allclose(grads[name], summed[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+
+def test_gradient_check_through_padded_batch():
+    for n_out, labels in ((1, [0.0, 1.0, 1.0, 0.0, 1.0]), (3, [1, 2, 0, 2, 1])):
+        params = tiny_params(seed=67, n_out=n_out)
+        _loss, grads = nn.batch_loss_and_grads(params, MIXED, labels, 4)
+        eps = 1e-4
+        for name, p in params.items():
+            num = np.zeros_like(p)
+            it = np.nditer(p, flags=["multi_index"])
+            for _ in it:
+                idx = it.multi_index
+                old = p[idx]
+                p[idx] = old + eps
+                lp = nn.batch_loss(params, MIXED, labels, 4)
+                p[idx] = old - eps
+                lm = nn.batch_loss(params, MIXED, labels, 4)
+                p[idx] = old
+                num[idx] = (lp - lm) / (2 * eps)
+            denom = np.maximum(np.abs(num) + np.abs(grads[name]), 1e-6)
+            assert (np.abs(num - grads[name]) / denom).max() <= 1e-3, (n_out, name)
+
+
+def test_batched_forward_matches_independent_implementation():
+    params = tiny_params(seed=71)
+    cache = nn.forward_batch(params, MIXED, 4)
+    for b, ids in enumerate(MIXED):
+        prob, alpha = oracle_forward(params, ids, 4)
+        assert abs(cache["prob"][b] - prob) < 1e-10
+        np.testing.assert_allclose(cache["attention"][b, :len(ids)], alpha, atol=1e-10)
+
+
+def test_empty_sequence_is_rejected():
+    params = tiny_params(seed=73)
+    with pytest.raises(ValueError):
+        nn.forward_batch(params, [[1, 2], []], 4)
+    with pytest.raises(ValueError):
+        nn.forward_batch(params, [], 4)

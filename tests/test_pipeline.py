@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import pytest
@@ -7,7 +8,12 @@ from kbqg.evaluation import gold_candidates
 from kbqg.kb import execute
 from kbqg.merging import MergeConfig
 from kbqg.mining import contained_frequent_keys, mine
-from kbqg.pipeline import QueryGenerator, combine_rankings
+from kbqg.pipeline import (
+    ModelCatalogMismatchError,
+    QueryGenerator,
+    combine_rankings,
+)
+from kbqg.predictor import TrainConfig, load_models, save_models, train
 from kbqg.ranking import EXISTING, MERGED, ScoredStructure
 from kbqg.sparql import parse_query
 from kbqg.toydata import build_dataset, build_kb
@@ -34,6 +40,26 @@ def test_generator_validates_setting():
         QueryGenerator(catalog, {}, kb, setting="bogus")
     with pytest.raises(ValueError):
         QueryGenerator(catalog, {}, kb, setting="rank-wo-sub")
+
+
+def test_generator_rejects_models_missing_from_a_saved_models_dir(tmp_path):
+    pairs = build_dataset()
+    catalog = mine(pairs, 2)
+    kb = build_kb()
+    cfg = TrainConfig(arch="bow")
+    save_models(train(pairs, catalog, cfg), tmp_path, cfg)
+    QueryGenerator(catalog, load_models(tmp_path), kb)
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    dropped = manifest["models"].pop(3)
+    (tmp_path / dropped["file"]).unlink()
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    models = load_models(tmp_path)
+    missing = next(k for k in catalog.substructures if k not in models)
+    with pytest.raises(ModelCatalogMismatchError, match="missing") as err:
+        QueryGenerator(catalog, models, kb)
+    assert repr(missing.canonical) in str(err.value)
+    assert "extra []" in str(err.value)
 
 
 @pytest.fixture(scope="module")
