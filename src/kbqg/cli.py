@@ -11,9 +11,9 @@ movie-domain fixtures so every subcommand runs out of the box.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
+from io import StringIO
 from pathlib import Path
 
 from .evaluation import (
@@ -22,6 +22,7 @@ from .evaluation import (
     run_pipeline,
 )
 from .grounding import DictionaryLinker, load_candidates
+from .io import write_json, write_text
 from .kb import format_answer, load_kb
 from .merging import MergeConfig
 from .mining import load_catalog, mine, save_catalog
@@ -134,18 +135,18 @@ def cmd_generate(args):
                                top_k=args.top_k, setting=args.setting)
     if args.candidates:
         candidates = load_candidates(args.candidates)
-        spans = [c.span for c in candidates
-                 if c.kind == "entity" and c.span is not None]
+        spans = sorted({c.span for c in candidates
+                        if c.kind == "entity" and c.span is not None})
     else:
         spans, candidates = linker.link(args.question)
     rounds = [] if args.dump_merged else None
     trace = generator.generate(args.question, spans, candidates, rounds_out=rounds)
     if args.dump_ranked:
-        with open(args.dump_ranked, "w", encoding="utf-8") as f:
-            write_ranked_jsonl(trace.ranked, f)
+        buf = StringIO()
+        write_ranked_jsonl(trace.ranked, buf)
+        write_text(args.dump_ranked, buf.getvalue())
     if args.dump_merged:
-        with open(args.dump_merged, "w", encoding="utf-8") as f:
-            json.dump(rounds, f, indent=1)
+        write_json(args.dump_merged, rounds)
     print(f"question: {args.question}")
     print(f"tokens:   {' '.join(trace.tokens)}")
     print("\ntop substructure probabilities:")
@@ -175,8 +176,7 @@ def cmd_eval(args):
     report = run_pipeline(dataset, kb, config, linker)
     _print_report(report)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            json.dump(report.to_json(), f, indent=1)
+        write_json(args.report, report.to_json())
         print(f"report written to {args.report}")
 
 
@@ -195,8 +195,7 @@ def cmd_ablate(args):
         print(f"{setting:18s} {f1m:.3f}±{f1s:.3f}   {p1m:.3f}±{p1s:.3f}   "
               f"{p5m:.3f}±{p5s:.3f}")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            json.dump({s: r.to_json() for s, r in reports.items()}, f, indent=1)
+        write_json(args.report, {s: r.to_json() for s, r in reports.items()})
 
 
 def cmd_noisy(args):
@@ -216,9 +215,7 @@ def cmd_noisy(args):
     dp5 = clean.precision_at_5[0] - noisy.precision_at_5[0]
     print(f"degradation: P@1 -{dp1:.3f}, P@5 -{dp5:.3f}")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            json.dump({"clean": clean.to_json(), "noisy": noisy.to_json()}, f,
-                      indent=1)
+        write_json(args.report, {"clean": clean.to_json(), "noisy": noisy.to_json()})
 
 
 def main(argv=None):

@@ -10,7 +10,6 @@ plus Precision@1/Precision@5 per setting.
 
 from __future__ import annotations
 
-import json
 import logging
 import statistics
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canon import canonical_key
-from .graph import CLASS, ENTITY, LITERAL, QueryGraph
+from .graph import CLASS, ENTITY, LITERAL, GraphError, QueryGraph
 from .grounding import (
     KIND_CLASS,
     KIND_ENTITY,
@@ -27,6 +26,7 @@ from .grounding import (
     LinkingCandidate,
     with_distractors,
 )
+from .io import InputError, located, read_json, write_json
 from .kb import AnswerSet, KnowledgeBase, execute, format_answer
 from .merging import MergeConfig
 from .mining import (
@@ -55,29 +55,34 @@ class Dataset:
 
 def load_dataset(path, prefixes=None, name: str | None = None) -> Dataset:
     """Load {question, sparql, mentions?} records, skipping (with a logged
-    count) any record whose query cannot be parsed."""
-    with open(path, encoding="utf-8") as f:
-        records = json.load(f)
+    count) any record whose query cannot be parsed or is not a valid query
+    graph."""
+    records = read_json(path)
+    if not isinstance(records, list):
+        raise InputError(path, 1, "expected a JSON array of records")
     pairs = []
     skipped = 0
     for i, rec in enumerate(records):
-        question = rec.get("question") or rec.get("corrected_question")
-        sparql = rec.get("sparql") or rec.get("sparql_query")
-        if not question or not sparql:
-            skipped += 1
-            log.info("skipping record %s: missing question/sparql", rec.get("id", i))
-            continue
-        try:
-            query = parse_query(sparql, prefixes)
-        except (QuerySyntaxError, UnsupportedFeatureError) as exc:
-            skipped += 1
-            log.info("skipping record %s: %s", rec.get("id", i), exc)
-            continue
-        mentions = tuple(Mention(m["start"], m["end"],
-                                 m.get("surface", question[m["start"]:m["end"]]))
-                         for m in rec.get("mentions", []))
-        pairs.append(TrainingPair(question, query, mentions,
-                                  qid=str(rec.get("id", i))))
+        with located(path, f"record {i}"):
+            question = rec.get("question") or rec.get("corrected_question")
+            sparql = rec.get("sparql") or rec.get("sparql_query")
+            if not question or not sparql:
+                skipped += 1
+                log.info("skipping record %s: missing question/sparql", rec.get("id", i))
+                continue
+            if not isinstance(question, str) or not isinstance(sparql, str):
+                raise ValueError("question and sparql must be strings")
+            try:
+                query = parse_query(sparql, prefixes)
+            except (QuerySyntaxError, UnsupportedFeatureError, GraphError) as exc:
+                skipped += 1
+                log.info("skipping record %s: %s", rec.get("id", i), exc)
+                continue
+            mentions = tuple(Mention(m["start"], m["end"],
+                                     m.get("surface", question[m["start"]:m["end"]]))
+                             for m in rec.get("mentions", []))
+            pairs.append(TrainingPair(question, query, mentions,
+                                      qid=str(rec.get("id", i))))
     if skipped:
         log.warning("skipped %d/%d records with unsupported queries",
                     skipped, len(records))
@@ -94,8 +99,7 @@ def save_dataset(dataset: Dataset, path) -> None:
             "mentions": [{"start": m.start, "end": m.end, "surface": m.surface}
                          for m in pair.mentions],
         })
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(records, f, indent=1)
+    write_json(path, records)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +295,6 @@ class FoldReport:
     def precision_at_5(self) -> float:
         return (sum(r.hit_at_5 for r in self.records) / len(self.records)
                 if self.records else 0.0)
-
-    @property
-    def f1_complex(self) -> float:
-        rows = [r for r in self.records if r.complex]
-        return statistics.fmean(r.f1 for r in rows) if rows else float("nan")
 
 
 @dataclass

@@ -17,7 +17,6 @@ scored distractor candidates for noisy-linking experiments.
 from __future__ import annotations
 
 import heapq
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -39,6 +38,7 @@ from .graph import (
     build_graph,
     user,
 )
+from .io import InputError, located, read_json, read_rows, write_json
 from .kb import (
     AnswerSet,
     KnowledgeBase,
@@ -351,19 +351,23 @@ def save_candidates(candidates: list[LinkingCandidate], path) -> None:
             "candidates": [{"symbol": c.symbol, "score": c.score}
                            for c in sorted(members, key=lambda c: -c.score)],
         })
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
+    write_json(path, doc)
 
 
 def load_candidates(path) -> list[LinkingCandidate]:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path)
+    if not isinstance(doc, list):
+        raise InputError(path, 1, "expected a JSON array of mention groups")
     out = []
-    for group in doc:
-        span = tuple(group["span"]) if group.get("span") else None
-        for c in group["candidates"]:
-            out.append(LinkingCandidate(group["mention"], group["kind"],
-                                        c["symbol"], c["score"], span))
+    for i, group in enumerate(doc):
+        with located(path, f"group {i}"):
+            span = None
+            if group.get("span"):
+                start, end = group["span"]
+                span = (int(start), int(end))
+            for c in group["candidates"]:
+                out.append(LinkingCandidate(group["mention"], group["kind"],
+                                            c["symbol"], float(c["score"]), span))
     return out
 
 
@@ -389,22 +393,12 @@ class DictionaryLinker:
     def from_file(cls, path) -> "DictionaryLinker":
         """TSV gazetteer: surface <tab> kind <tab> symbol."""
         linker = cls()
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields")
-                linker.add(*parts)
+        for lineno, parts in read_rows(path):
+            if len(parts) != 3:
+                raise InputError(path, lineno, "expected 3 tab-separated fields, "
+                                 f"got {len(parts)}")
+            linker.add(*parts)
         return linker
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            for surface in sorted(self.entries):
-                for kind, symbol in self.entries[surface]:
-                    f.write(f"{surface}\t{kind}\t{symbol}\n")
 
     def link(self, question: str) -> tuple[list[tuple[int, int]], list[LinkingCandidate]]:
         """Entity mention spans plus linking candidates for the question."""
@@ -437,10 +431,6 @@ class DictionaryLinker:
                     spans.append((pos, end))
         spans = sorted(set(spans))
         return spans, candidates
-
-    def symbols_of_kind(self, kind: str) -> list[str]:
-        return sorted({sym for entries in self.entries.values()
-                       for k, sym in entries if k == kind})
 
 
 def with_distractors(candidates: list[LinkingCandidate],

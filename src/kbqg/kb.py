@@ -31,12 +31,9 @@ from .graph import (
     Triple,
     VARIABLE,
 )
+from .io import InputError, read_rows
 
 RDF_TYPE_SHORTHAND = "a"
-
-
-class KbParseError(ValueError):
-    pass
 
 
 class NonNumericAggregateError(ValueError):
@@ -118,16 +115,11 @@ def load_kb(path, schema_path=None) -> KnowledgeBase:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise KbParseError(f"{path}:{lineno}: expected 3 tab-separated "
-                                       f"fields, got {len(parts)}")
-                kb.add_fact(*parts)
+        for lineno, parts in read_rows(path):
+            if len(parts) != 3:
+                raise InputError(path, lineno, "expected 3 tab-separated fields, "
+                                 f"got {len(parts)}")
+            kb.add_fact(*parts)
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -139,21 +131,16 @@ def load_kb(path, schema_path=None) -> KnowledgeBase:
 
 def load_schema(path) -> Schema:
     schema = Schema()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[0] not in ("domain", "range", "disjoint"):
-                raise KbParseError(f"{path}:{lineno}: bad schema line {line!r}")
-            kind, a, b = parts
-            if kind == "domain":
-                schema.domains[a] = b
-            elif kind == "range":
-                schema.ranges[a] = b
-            else:
-                schema.disjoint.add(frozenset((a, b)))
+    for lineno, parts in read_rows(path, sep=None):
+        if len(parts) != 3 or parts[0] not in ("domain", "range", "disjoint"):
+            raise InputError(path, lineno, f"bad schema line {' '.join(parts)!r}")
+        kind, a, b = parts
+        if kind == "domain":
+            schema.domains[a] = b
+        elif kind == "range":
+            schema.ranges[a] = b
+        else:
+            schema.disjoint.add(frozenset((a, b)))
     return schema
 
 

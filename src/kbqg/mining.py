@@ -10,7 +10,6 @@ subsets are skipped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .canon import StructureKey, canonical_form, canonical_key
@@ -22,6 +21,7 @@ from .graph import (
     build_graph,
     induced_subgraph,
 )
+from .io import located, read_json, write_json
 
 #: queries larger than this are rejected rather than enumerated (2^n subsets)
 MAX_TRIPLES = 12
@@ -246,29 +246,28 @@ def save_catalog(catalog: SubstructureCatalog, path) -> None:
             e.key.canonical: sorted(sub_index[k] for k in catalog.containment[e.key])
             for e in catalog.structure_entries()},
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=1)
+    write_json(path, doc)
 
 
 def load_catalog(path) -> SubstructureCatalog:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("version") != CATALOG_VERSION:
-        raise ValueError(f"unsupported catalog version {doc.get('version')!r}")
-    structures = {}
-    for item in doc["structures"]:
-        key = key_from_json(item["key"])
-        structures[key] = CatalogEntry(key, graph_from_json(item["representative"]),
-                                       item["count"])
-    subs = []
-    substructures = {}
-    for item in doc["substructures"]:
-        key = key_from_json(item["key"])
-        subs.append(key)
-        substructures[key] = CatalogEntry(key, graph_from_json(item["representative"]),
-                                          item["count"])
+    doc = read_json(path, CATALOG_VERSION)
+    tables: dict[str, dict[StructureKey, CatalogEntry]] = {}
+    for name in ("structures", "substructures"):
+        table = tables[name] = {}
+        with located(path, name):
+            for i, item in enumerate(doc[name]):
+                with located(path, f"{name}[{i}]"):
+                    key = key_from_json(item["key"])
+                    if key in table:
+                        raise ValueError(f"duplicate key {key.canonical!r}")
+                    table[key] = CatalogEntry(key, graph_from_json(item["representative"]),
+                                              item["count"])
+    subs = list(tables["substructures"])
+    by_canonical = {k.canonical: k for k in tables["structures"]}
     containment = {}
-    by_canonical = {k.canonical: k for k in structures}
-    for canon, indices in doc["containment"].items():
-        containment[by_canonical[canon]] = frozenset(subs[i] for i in indices)
-    return SubstructureCatalog(doc["gamma"], structures, substructures, containment)
+    with located(path, "containment"):
+        for canon, indices in doc["containment"].items():
+            containment[by_canonical[canon]] = frozenset(subs[i] for i in indices)
+    with located(path, "gamma"):
+        return SubstructureCatalog(doc["gamma"], tables["structures"],
+                                   tables["substructures"], containment)

@@ -114,7 +114,12 @@ class QueryGenerator:
                  candidates: list[LinkingCandidate] | None = None,
                  probs_override: dict[StructureKey, float] | None = None,
                  rounds_out: list | None = None) -> Trace:
-        seq = preprocess(question, mention_spans)
+        """Trace the generation for one question. Malformed mention spans
+        or no valid grounding give a trace whose ``error`` says why."""
+        try:
+            seq = preprocess(question, mention_spans)
+        except (TypeError, ValueError) as exc:
+            return Trace(question, (), {}, [], [], error=f"bad mention spans: {exc}")
         probs, ranked, merged = self.rank(seq, probs_override, rounds_out)
         trace = Trace(question, seq.tokens, probs, ranked, merged)
         all_candidates = list(candidates or [])

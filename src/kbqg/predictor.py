@@ -34,6 +34,7 @@ from scipy.optimize import minimize
 
 from . import nn
 from .canon import StructureKey, canonical_key
+from .io import located, read_json, write_json
 from .mining import (
     SubstructureCatalog,
     contained_frequent_keys,
@@ -449,29 +450,31 @@ def save_models(models: dict[StructureKey, object], directory,
         manifest["models"].append({"file": fname, "key": key_to_json(key),
                                    "dev_accuracy": model.dev_accuracy,
                                    "kind": meta["kind"]})
-    with open(directory / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=1)
+    write_json(directory / "manifest.json", manifest)
 
 
 def load_models(directory) -> dict[StructureKey, object]:
     directory = Path(directory)
-    with open(directory / "manifest.json", encoding="utf-8") as f:
-        manifest = json.load(f)
-    if manifest.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {manifest.get('version')!r}")
+    manifest_path = directory / "manifest.json"
+    manifest = read_json(manifest_path, MODEL_VERSION)
     models: dict[StructureKey, object] = {}
-    for item in manifest["models"]:
-        with np.load(directory / item["file"]) as data:
-            meta = json.loads(bytes(data["__meta__"]).decode())
-            key = key_from_json(meta["key"])
-            if meta["kind"] == "bilstm":
-                params = {k: data[k] for k in data.files if k != "__meta__"}
-                model = PredictorModel(meta["vocab"], params, meta["d_e"], meta["d_h"],
-                                       key, meta["dev_accuracy"])
-            elif meta["kind"] == "bow":
-                model = BowLogisticModel(meta["vocab"], data["weights"], key,
-                                         meta["dev_accuracy"])
-            else:
-                model = ConstantModel(meta["probability"], key, meta["dev_accuracy"])
-        models[key] = model
+    with located(manifest_path, "models"):
+        for i, item in enumerate(manifest["models"]):
+            with located(manifest_path, f"models[{i}]"):
+                path = directory / item["file"]
+            with np.load(path) as data, located(path, "__meta__"):
+                meta = json.loads(bytes(data["__meta__"]).decode())
+                key = key_from_json(meta["key"])
+                if meta["kind"] == "bilstm":
+                    params = {k: data[k] for k in data.files if k != "__meta__"}
+                    model = PredictorModel(meta["vocab"], params, meta["d_e"],
+                                           meta["d_h"], key, meta["dev_accuracy"])
+                elif meta["kind"] == "bow":
+                    model = BowLogisticModel(meta["vocab"], data["weights"], key,
+                                             meta["dev_accuracy"])
+                elif meta["kind"] == "constant":
+                    model = ConstantModel(meta["probability"], key, meta["dev_accuracy"])
+                else:
+                    raise ValueError(f"unknown model kind {meta['kind']!r}")
+                models[key] = model
     return models

@@ -13,7 +13,6 @@ as opaque symbols, so ``:director`` round-trips unchanged.
 
 from __future__ import annotations
 
-import json
 import re
 
 from .graph import (
@@ -35,6 +34,7 @@ from .graph import (
     derive_var_kind,
     user,
 )
+from .io import InputError, read_json
 
 DEFAULT_PREFIXES = {
     "rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
@@ -440,8 +440,9 @@ def serialize_query(g: QueryGraph) -> str:
 
 def load_prefixes(path) -> dict[str, str]:
     """Load a {prefix: iri} table from a JSON file, merged over the defaults."""
-    with open(path, encoding="utf-8") as f:
-        table = json.load(f)
+    table = read_json(path)
+    if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+        raise InputError(path, 1, "expected a JSON object of prefix: IRI strings")
     merged = dict(DEFAULT_PREFIXES)
     merged.update(table)
     return merged

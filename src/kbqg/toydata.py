@@ -1,57 +1,31 @@
-"""Builders for the bundled movie-domain fixtures.
+"""The bundled movie-domain fixture and builders for test corpora.
 
-Everything here is deterministic: a small film knowledge base with
-schema, a gazetteer for the dictionary linker, a 40-question dataset
-covering nine query structures (seven common ones plus two deliberately
+The files in ``data/`` are the fixture, read by ``build_kb`` and
+``build_gazetteer``: a small film knowledge base (``toy_kb.tsv``) with
+its schema (``toy_schema.txt``), a gazetteer for the dictionary linker
+(``toy_gazetteer.tsv``) and a 40-question dataset (``mini_dataset.json``).
+The KB's ``:influenced_by`` facts form one chain, so most people head a
+two-step chain, as the rare chain structures and the noisy-linking
+experiment need. ``build_dataset_records`` derives the dataset from
+question templates, which give the mention offsets and record why it
+mixes nine query structures (seven common ones plus two deliberately
 rare chain structures whose containment patterns coincide, exercising
-the tie-breaking and validation-cascade paths), a large keyword-signal
-corpus for predictor training tests, and a corpus with an unseen
-structure reachable only by merging.
-
-``python -m kbqg.toydata <outdir>`` materializes the data files.
+the tie-breaking and validation-cascade paths); a test checks that it
+equals the bundled file. Kept on no disk: a large keyword-signal corpus
+for predictor training tests, and a corpus with an unseen structure
+reachable only by merging.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 from pathlib import Path
 
 import numpy as np
 
 from .grounding import DictionaryLinker
-from .kb import KnowledgeBase, Schema
+from .kb import KnowledgeBase, load_kb
 from .mining import Mention, TrainingPair
 from .sparql import parse_query
-
-# director -> films; [film, runtime, country, star]
-FILMS = {
-    ":S_Kubrick": [(":The_Shining", 146, ":UK", ":J_Nicholson"),
-                   (":Barry_Lyndon", 185, ":UK", ":R_ONeal"),
-                   (":Space_Odyssey", 149, ":USA", ":K_Dullea")],
-    ":T_Burton": [(":Ed_Wood", 127, ":USA", ":J_Depp"),
-                  (":Batman_Returns", 126, ":USA", ":M_Keaton"),
-                  (":Beetlejuice", 92, ":USA", ":M_Keaton")],
-    ":S_Spielberg": [(":Jaws", 124, ":USA", ":R_Dreyfuss"),
-                     (":Duel", 90, ":USA", ":D_Weaver"),
-                     (":ET", 115, ":USA", ":H_Thomas")],
-    ":C_Nolan": [(":Memento", 113, ":USA", ":G_Pearce"),
-                 (":Inception", 148, ":UK", ":L_DiCaprio"),
-                 (":Dunkirk", 106, ":UK", ":F_Whitehead")],
-    ":A_Varda": [(":Cleo", 90, ":France", ":C_Marchand"),
-                 (":Vagabond", 105, ":France", ":S_Bonnaire"),
-                 (":Faces_Places", 94, ":France", ":JR")],
-    ":O_Welles": [(":Citizen_K", 119, ":USA", ":J_Cotten")],
-    ":A_Hitchcock": [(":Vertigo", 128, ":USA", ":J_Stewart"),
-                     (":Psycho", 109, ":USA", ":A_Perkins")],
-}
-
-# X influenced_by Y, forming one long chain so that most people head a
-# two-step chain (needed by the rare chain structures and the
-# noisy-linking experiment)
-INFLUENCE_CHAIN = [":G_Melies", ":F_Lang", ":A_Hitchcock", ":O_Welles",
-                   ":S_Kubrick", ":S_Spielberg", ":T_Burton", ":C_Nolan",
-                   ":A_Varda"]
 
 SURFACES = {
     ":S_Kubrick": "Stanley Kubrick", ":T_Burton": "Tim Burton",
@@ -72,59 +46,17 @@ SURFACES = {
     ":G_Pearce": "Guy Pearce", ":S_Bonnaire": "Sandrine Bonnaire",
 }
 
-PROPERTY_SURFACES = {
-    "directed": ":director", "direct": ":director", "director": ":director",
-    "by": ":director", "of": ":director",
-    "star": ":starring", "starred": ":starring", "starring": ":starring",
-    "made": ":country", "countries": ":country",
-    "runtime": ":runtime", "longest": ":runtime",
-    "influenced": ":influenced_by",
-}
 
-CLASS_SURFACES = {"films": ":Film", "movies": ":Film", "film": ":Film"}
+def data_dir() -> Path:
+    return Path(__file__).parent / "data"
 
 
 def build_kb() -> KnowledgeBase:
-    kb = KnowledgeBase()
-    for director, films in FILMS.items():
-        kb.add_fact(director, "a", ":Person")
-        for film, runtime, country, star in films:
-            kb.add_fact(film, "a", ":Film")
-            kb.add_fact(film, ":director", director)
-            kb.add_fact(film, ":runtime", str(runtime))
-            kb.add_fact(film, ":country", country)
-            kb.add_fact(film, ":starring", star)
-            kb.add_fact(star, "a", ":Person")
-            kb.add_fact(country, "a", ":Country")
-    for name in INFLUENCE_CHAIN:
-        kb.add_fact(name, "a", ":Person")
-    for younger, older in zip(INFLUENCE_CHAIN[1:], INFLUENCE_CHAIN):
-        kb.add_fact(younger, ":influenced_by", older)
-    kb.schema = build_schema()
-    return kb
-
-
-def build_schema() -> Schema:
-    schema = Schema()
-    schema.domains.update({":director": ":Film", ":starring": ":Film",
-                           ":country": ":Film", ":runtime": ":Film"})
-    schema.ranges.update({":director": ":Person", ":starring": ":Person",
-                          ":country": ":Country"})
-    for a, b in ((":Film", ":Person"), (":Film", ":Country"),
-                 (":Person", ":Country")):
-        schema.disjoint.add(frozenset((a, b)))
-    return schema
+    return load_kb(data_dir() / "toy_kb.tsv", data_dir() / "toy_schema.txt")
 
 
 def build_gazetteer() -> DictionaryLinker:
-    linker = DictionaryLinker()
-    for symbol, surface in SURFACES.items():
-        linker.add(surface, "entity", symbol)
-    for surface, symbol in PROPERTY_SURFACES.items():
-        linker.add(surface, "property", symbol)
-    for surface, symbol in CLASS_SURFACES.items():
-        linker.add(surface, "class", symbol)
-    return linker
+    return DictionaryLinker.from_file(data_dir() / "toy_gazetteer.tsv")
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +87,7 @@ def build_dataset_records() -> list[dict]:
             tpl = phrasing_a if i < 3 else phrasing_b
             records.append(_q(tpl, symbol, sparql, f"{qid_prefix}-{i}"))
 
-    films = [FILMS[d][0][0] for d in _DIRECTORS]
+    films = [":The_Shining", ":Ed_Wood", ":Jaws", ":Memento", ":Cleo"]
     family("s1", "who directed {X}?", "tell me who directed {X}.",
            "SELECT ?p WHERE {{ {E} :director ?p }}", films)
 
@@ -293,45 +225,3 @@ def build_merge_corpus() -> tuple[list[TrainingPair], object]:
     gold = parse_query(
         "SELECT ?c WHERE { ?f :director :C_Nolan . ?f :country ?c }")
     return pairs, gold
-
-
-# ---------------------------------------------------------------------------
-# file materialization
-
-DATA_FILES = ("mini_dataset.json", "toy_kb.tsv", "toy_schema.txt",
-              "toy_gazetteer.tsv")
-
-
-def write_files(outdir) -> None:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "mini_dataset.json", "w", encoding="utf-8") as f:
-        json.dump(build_dataset_records(), f, indent=1)
-
-    kb = build_kb()
-    lines = []
-    for s, p, o in sorted(kb.facts):
-        lines.append(f"{s}\t{p}\t{o}")
-    for e in sorted(kb.types):
-        for c in sorted(kb.types[e]):
-            lines.append(f"{e}\ta\t{c}")
-    (outdir / "toy_kb.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    schema = build_schema()
-    lines = [f"domain {p} {c}" for p, c in sorted(schema.domains.items())]
-    lines += [f"range {p} {c}" for p, c in sorted(schema.ranges.items())]
-    lines += [f"disjoint {a} {b}" for a, b in sorted(tuple(sorted(d))
-                                                     for d in schema.disjoint)]
-    (outdir / "toy_schema.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    build_gazetteer().save(outdir / "toy_gazetteer.tsv")
-
-
-def data_dir() -> Path:
-    return Path(__file__).parent / "data"
-
-
-if __name__ == "__main__":
-    target = sys.argv[1] if len(sys.argv) > 1 else data_dir()
-    write_files(target)
-    print(f"wrote {', '.join(DATA_FILES)} to {target}")

@@ -4,6 +4,7 @@ import json
 
 from kbqg import cli
 from kbqg.cli import main
+from kbqg.grounding import LinkingCandidate, save_candidates
 from kbqg.merging import ROUND_COUNTS
 from kbqg.pipeline import QueryGenerator
 
@@ -32,6 +33,22 @@ def test_train_and_generate(tmp_path, capsys):
     assert "ranked structures" in out
     assert ":S_Kubrick" in out
     assert "    -> {:S_Kubrick}\n" in out
+
+
+def test_generate_with_an_ambiguous_mention_in_a_candidate_file(tmp_path, capsys):
+    candidates = tmp_path / "cands.json"
+    span = (19, 34)
+    save_candidates([
+        LinkingCandidate("Stanley Kubrick", "entity", ":S_Kubrick", 1.0, span),
+        LinkingCandidate("Stanley Kubrick", "entity", ":S_Spielberg", 0.5, span),
+        LinkingCandidate("direct", "property", ":director", 1.0),
+        LinkingCandidate("films", "class", ":Film", 1.0),
+    ], candidates)
+    main(["generate", "--gamma", "2", "--predictor", "bow", "--setting", "rank-w-sub",
+          "--candidates", str(candidates), "how many films did Stanley Kubrick direct?"])
+    out = capsys.readouterr().out
+    assert "tokens:   how many films did <entity> direct" in out
+    assert "    -> =3\n" in out
 
 
 def test_generate_dump_merged_rounds_from_a_stateless_generator(tmp_path, capsys,

@@ -14,7 +14,6 @@ from kbqg.graph import (
     user,
 )
 from kbqg.grounding import (
-    DictionaryLinker,
     LinkingCandidate,
     NoValidGroundingError,
     enumerate_assignments,
@@ -201,7 +200,7 @@ def test_literal_extraction():
     assert all(c.kind == "literal" for c in cands)
 
 
-def test_dictionary_linker_longest_match(tmp_path):
+def test_dictionary_linker_longest_match():
     linker = build_gazetteer()
     spans, candidates = linker.link("How many films did Stanley Kubrick direct?")
     surfaces = {c.mention.lower() for c in candidates}
@@ -211,11 +210,6 @@ def test_dictionary_linker_longest_match(tmp_path):
     assert any(s == (19, 34) for s in spans)
     prop_symbols = {c.symbol for c in candidates if c.kind == "property"}
     assert ":director" in prop_symbols
-    # round trip through the gazetteer file format
-    path = tmp_path / "gaz.tsv"
-    linker.save(path)
-    again = DictionaryLinker.from_file(path)
-    assert again.entries == linker.entries
 
 
 def test_candidate_file_roundtrip(tmp_path):

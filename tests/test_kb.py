@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from kbqg.graph import LITERAL, Triple, VARIABLE, Vertex, build_graph, user
+from kbqg.io import InputError
 from kbqg.kb import (
     AnswerSet,
-    KbParseError,
     KnowledgeBase,
     NonNumericAggregateError,
     UnboundTargetError,
@@ -48,14 +48,14 @@ def test_load_kb_counts_and_types(tmp_path):
 def test_load_kb_reports_line_number(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text(":a\t:p\t:b\nonly two\n", encoding="utf-8")
-    with pytest.raises(KbParseError, match="2"):
+    with pytest.raises(InputError, match="2"):
         load_kb(path)
 
 
 def test_load_kb_rejects_space_separated_line(tmp_path):
     path = tmp_path / "spaces.tsv"
     path.write_text(":a\t:p\t:b\n:c :p :d\n", encoding="utf-8")
-    with pytest.raises(KbParseError, match=f"{path}:2:"):
+    with pytest.raises(InputError, match=f"{path}:2:"):
         load_kb(path)
 
 
@@ -70,7 +70,7 @@ def test_load_kb_leaves_gc_state_as_it_was(tmp_path, enabled):
         (gc.enable if enabled else gc.disable)()
         assert load_kb(good).classes_of(":a") == {":C"}
         assert gc.isenabled() is enabled
-        with pytest.raises(KbParseError):
+        with pytest.raises(InputError):
             load_kb(bad)
         assert gc.isenabled() is enabled
     finally:
@@ -107,7 +107,7 @@ def test_load_schema(tmp_path):
     assert schema.are_disjoint(":Person", ":Film")
     path2 = tmp_path / "bad.txt"
     path2.write_text("oops :p :c\n", encoding="utf-8")
-    with pytest.raises(KbParseError):
+    with pytest.raises(InputError):
         load_schema(path2)
 
 

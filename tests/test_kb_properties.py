@@ -4,7 +4,8 @@ The join iterates index entries as they are, so its solutions come in no
 fixed order. These tests check it against the nested-loop oracle on
 random small KBs and random connected patterns, and check that every
 answer, aggregates and MAXATN/MINATN included, stays the same when the
-same facts are added in another order.
+same facts are added in another order, and that adding facts never
+shrinks the answer of a query without aggregation or ordering.
 """
 
 import random
@@ -183,3 +184,14 @@ def test_execute_ignores_fact_order(kb_seed, query_seed, shuffle_seed, op):
     q = random_query(random.Random(query_seed), op)
     assert q.is_connected()
     assert outcome(q, kb_of(facts)) == outcome(q, kb_of(shuffled)), str(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, seeds, seeds)
+def test_adding_facts_never_shrinks_a_plain_answer(kb_seed, more_seed, query_seed):
+    facts = random_facts(random.Random(kb_seed))
+    more = facts + random_facts(random.Random(more_seed))
+    q = random_query(random.Random(query_seed))
+    before, after = execute(q, kb_of(facts)), execute(q, kb_of(more))
+    assert not before.is_aggregate
+    assert before.values <= after.values, str(q)

@@ -116,3 +116,12 @@ def test_merge_only_setting_ranks_merged_provenance(oracle_generator):
     assert ranked == merged
     assert all(s.provenance == MERGED for s in ranked)
     assert ranked[0].key == canonical_key(pair.query)
+
+
+def test_overlapping_mention_spans_go_to_the_trace_error():
+    generator = QueryGenerator(mine(build_dataset(), 2), {}, build_kb(),
+                               setting="rank-w-sub")
+    trace = generator.generate("who directed The Shining?", [(13, 20), (17, 24)])
+    assert "overlapping mention spans" in trace.error
+    assert trace.tokens == () and trace.probabilities == {}
+    assert trace.ranked == [] and trace.merged == [] and trace.results == []
