@@ -9,12 +9,12 @@ built-in-fixing label bijection map one triple set onto the other.
 """
 
 from kbqg import (
+    canonical_form,
     canonical_key,
     is_equivalent,
     is_substructure,
     parse_query,
     serialize_query,
-    to_structure,
 )
 
 # a counting question in the supported SPARQL subset
@@ -24,7 +24,7 @@ print("parsed:      ", count_query)
 print("serialized:  ", serialize_query(count_query))
 
 # the structure erases symbols down to placeholders
-print("structure:   ", to_structure(count_query))
+print("structure:   ", canonical_form(count_query)[1])
 print("canonical key:", canonical_key(count_query).canonical)
 
 # variable names never matter

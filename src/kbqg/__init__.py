@@ -41,7 +41,6 @@ from .canon import (
     find_isomorphism,
     is_equivalent,
     is_substructure,
-    to_structure,
 )
 from .sparql import (
     QuerySyntaxError,

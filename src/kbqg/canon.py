@@ -5,6 +5,11 @@ bijection f and an edge-label bijection g such that (i) f preserves the
 vertex kind (and, for MAXATN/MINATN offset literals, the offset value),
 (ii) g maps user-defined properties to user-defined properties and fixes
 every built-in, and (iii) the triple sets correspond exactly under (f, g).
+A graph ``a`` is a substructure of ``b`` when some subset of b's
+triples, with vertex kinds re-derived, is equivalent to ``a``. One
+backtracking search (VF2-style; Cordella et al., TPAMI 2004),
+``find_embedding``, decides both relations; an isomorphism is an
+embedding between graphs of equal size.
 
 The canonical form assigns every equivalence class a deterministic byte
 string: iterative color refinement over vertices *and* user-defined label
@@ -19,17 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 from .graph import (
+    AGG_RESULT,
     CLASS,
     ENTITY,
     LITERAL,
+    VARIABLE,
     QueryGraph,
     Triple,
     Vertex,
     build_graph,
-    induced_subgraph,
     user,
 )
 
@@ -58,19 +63,7 @@ class StructureKey:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism search
-
-
-def _profile(g: QueryGraph):
-    """Cheap equivalence invariants: kind/value multiset, label multisets."""
-    ov = g.order_values
-    kinds = sorted((v.kind, ov.get(v.id, "")) for v in g.vertices)
-    builtins = sorted(t.label.builtin for t in g.triples if t.label.is_builtin)
-    return (len(g.vertices), len(g.triples), kinds, builtins, len(g.user_labels))
-
-
-def _color(g: QueryGraph, vid: str) -> tuple:
-    return (g.kind_of(vid), g.order_values.get(vid, ""))
+# embedding search
 
 
 def _ordered_triples(g: QueryGraph) -> list[Triple]:
@@ -91,27 +84,35 @@ def _ordered_triples(g: QueryGraph) -> list[Triple]:
     return out
 
 
-def find_isomorphism(a: QueryGraph, b: QueryGraph):
-    """Witness (f, g) for a ≅ b, or None.
+def find_embedding(a: QueryGraph, b: QueryGraph):
+    """Witness (f, g) that ``a`` is a substructure of ``b``, or None.
 
-    f maps vertex ids of ``a`` to vertex ids of ``b``; g maps edge labels
-    of ``a`` to labels of ``b`` with built-ins fixed.
+    f maps a's vertex ids one-to-one to b's, and g maps a's edge labels
+    one-to-one to b's with built-ins fixed, so that every triple of ``a``
+    maps to a distinct triple of ``b``. On those image triples a vertex
+    is an aggregation result or an offset literal exactly when its
+    preimage is one, so a plain variable may map to an aggregation
+    result, and only an offset of ``a`` is compared by value.
     """
-    if _profile(a) != _profile(b):
-        return None
     ta = _ordered_triples(a)
-    tb = list(b.triples)
+    tb = b.triples
+    offsets = a.order_values
     f: dict[str, str] = {}
     g: dict[str, str] = {}
     f_used: set[str] = set()
     g_used: set[str] = set()
+    # injective f and g already keep the images of a's triples distinct;
+    # skipping b's matched triples only prunes the search
     t_used = [False] * len(tb)
 
     def try_bind(av: str, bv: str, added: list[str]) -> bool:
         bound = f.get(av)
         if bound is not None:
             return bound == bv
-        if bv in f_used or _color(a, av) != _color(b, bv):
+        ka, kb = a.kind_of(av), b.kind_of(bv)
+        if bv in f_used or (ka != kb and (ka, kb) != (VARIABLE, AGG_RESULT)):
+            return False
+        if av in offsets and b.vertex_by_id[bv].surface != offsets[av]:
             return False
         f[av] = bv
         f_used.add(bv)
@@ -126,26 +127,20 @@ def find_isomorphism(a: QueryGraph, b: QueryGraph):
             if t_used[j]:
                 continue
             label_added = None
-            if t.label.is_builtin:
+            if t.label.is_builtin or u.label.is_builtin:
                 if u.label != t.label:
                     continue
+            elif t.label.name in g:
+                if g[t.label.name] != u.label.name:
+                    continue
+            elif u.label.name in g_used:
+                continue
             else:
-                if u.label.is_builtin:
-                    continue
-                mapped = g.get(t.label.name)
-                if mapped is not None:
-                    if mapped != u.label.name:
-                        continue
-                elif u.label.name in g_used:
-                    continue
-                else:
-                    g[t.label.name] = u.label.name
-                    g_used.add(u.label.name)
-                    label_added = t.label.name
+                g[t.label.name] = u.label.name
+                g_used.add(u.label.name)
+                label_added = t.label.name
             added: list[str] = []
-            if (t.subject == t.object) == (u.subject == u.object) \
-                    and try_bind(t.subject, u.subject, added) \
-                    and try_bind(t.object, u.object, added):
+            if try_bind(t.subject, u.subject, added) and try_bind(t.object, u.object, added):
                 t_used[j] = True
                 if match(i + 1):
                     return True
@@ -156,13 +151,18 @@ def find_isomorphism(a: QueryGraph, b: QueryGraph):
                 g_used.discard(g.pop(label_added))
         return False
 
-    if match(0):
-        full_g = dict(g)
-        for t in a.triples:
-            if t.label.is_builtin:
-                full_g[t.label.builtin] = t.label.builtin
-        return dict(f), full_g
-    return None
+    if not match(0):
+        return None
+    g.update((t.label.builtin, t.label.builtin) for t in a.triples if t.label.is_builtin)
+    return f, g
+
+
+def find_isomorphism(a: QueryGraph, b: QueryGraph):
+    """Witness (f, g) for a ≅ b, or None: an embedding between graphs of
+    equal size, so f and g are bijections."""
+    if len(a.triples) != len(b.triples) or len(a.vertices) != len(b.vertices):
+        return None
+    return find_embedding(a, b)
 
 
 def is_equivalent(a: QueryGraph, b: QueryGraph) -> bool:
@@ -171,20 +171,14 @@ def is_equivalent(a: QueryGraph, b: QueryGraph) -> bool:
 
 def is_substructure(a: QueryGraph, b: QueryGraph) -> bool:
     """True iff some subset of b's triples induces a subgraph equivalent to a."""
-    na, nb = len(a.triples), len(b.triples)
-    if na > nb:
+    if len(a.triples) > len(b.triples):
         return False
-    if na == nb:
-        return is_equivalent(a, b)
     builtins_a = sorted(t.label.builtin for t in a.triples if t.label.is_builtin)
     builtins_b = [t.label.builtin for t in b.triples if t.label.is_builtin]
     for lab in builtins_a:
         if builtins_a.count(lab) > builtins_b.count(lab):
             return False
-    for subset in combinations(b.triples, na):
-        if is_equivalent(a, induced_subgraph(b, subset)):
-            return True
-    return False
+    return find_embedding(a, b) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +325,3 @@ def canonical_form(g: QueryGraph) -> tuple[StructureKey, QueryGraph]:
 
 def canonical_key(g: QueryGraph) -> StructureKey:
     return canonical_form(g)[0]
-
-
-def to_structure(g: QueryGraph) -> QueryGraph:
-    """The placeholder representative of g's structure."""
-    return canonical_form(g)[1]

@@ -30,7 +30,9 @@ from .io import InputError, located, read_json, write_json
 from .kb import AnswerSet, KnowledgeBase, execute, format_answer
 from .merging import MergeConfig
 from .mining import (
+    MAX_TRIPLES,
     Mention,
+    QueryTooLargeError,
     TrainingPair,
     contained_frequent_keys,
     mine,
@@ -55,8 +57,8 @@ class Dataset:
 
 def load_dataset(path, prefixes=None, name: str | None = None) -> Dataset:
     """Load {question, sparql, mentions?} records, skipping (with a logged
-    count) any record whose query cannot be parsed or is not a valid query
-    graph."""
+    count) any record whose query cannot be parsed, is not a valid query
+    graph or has more than ``MAX_TRIPLES`` triples to mine."""
     records = read_json(path)
     if not isinstance(records, list):
         raise InputError(path, 1, "expected a JSON array of records")
@@ -74,7 +76,10 @@ def load_dataset(path, prefixes=None, name: str | None = None) -> Dataset:
                 raise ValueError("question and sparql must be strings")
             try:
                 query = parse_query(sparql, prefixes)
-            except (QuerySyntaxError, UnsupportedFeatureError, GraphError) as exc:
+                if query.triple_count > MAX_TRIPLES:
+                    raise QueryTooLargeError(f"{query.triple_count} triples (limit {MAX_TRIPLES})")
+            except (QuerySyntaxError, UnsupportedFeatureError, GraphError,
+                    QueryTooLargeError) as exc:
                 skipped += 1
                 log.info("skipping record %s: %s", rec.get("id", i), exc)
                 continue

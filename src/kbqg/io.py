@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from zipfile import BadZipFile
 
 
 class InputError(ValueError):
@@ -38,6 +39,8 @@ def read_json(path, version=None):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(path, exc.lineno, exc.msg) from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep
+        raise InputError(path, 1, f"{type(exc).__name__}: {exc}") from exc
     if version is not None:
         found = doc.get("version") if isinstance(doc, dict) else None
         if found != version:
@@ -73,11 +76,12 @@ def read_rows(path, sep="\t"):
 
 @contextmanager
 def located(path, where):
-    """Report a lookup or conversion error in one record of ``path`` as an
-    ``InputError`` at ``where``. An ``InputError`` passes through as it is."""
+    """Report a lookup, conversion or archive error in one record of ``path``
+    as an ``InputError`` at ``where``. An ``InputError`` passes through as it is."""
     try:
         yield
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError,
+            EOFError, BadZipFile) as exc:
         raise InputError(path, where, f"{type(exc).__name__}: {exc}") from exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canon import StructureKey, canonical_form, canonical_key
+from .canon import StructureKey, canonical_form, canonical_key, is_substructure
 from .graph import (
     EdgeLabel,
     QueryGraph,
@@ -183,14 +183,13 @@ def mine(pairs, gamma: int) -> SubstructureCatalog:
 
 
 def contained_frequent_keys(g: QueryGraph, catalog: SubstructureCatalog) -> frozenset[StructureKey]:
-    """Frequent-substructure keys contained in ``g``, using the
-    precomputed containment row when g's structure was mined."""
-    key = canonical_key(g)
-    row = catalog.containment.get(key)
+    """Frequent-substructure keys contained in ``g``: its mined
+    containment row, or else those that embed in ``g``."""
+    row = catalog.containment.get(canonical_key(g))
     if row is not None:
         return row
-    contained = set(enumerate_substructures(g))
-    return frozenset(k for k in catalog.substructures if k in contained)
+    return frozenset(k for k, e in catalog.substructures.items()
+                     if is_substructure(e.representative, g))
 
 
 # ---------------------------------------------------------------------------

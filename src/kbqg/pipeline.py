@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canon import StructureKey
+from .canon import CanonicalizationError, StructureKey
 from .grounding import (
     GroundingResult,
     LinkingCandidate,
@@ -114,13 +114,16 @@ class QueryGenerator:
                  candidates: list[LinkingCandidate] | None = None,
                  probs_override: dict[StructureKey, float] | None = None,
                  rounds_out: list | None = None) -> Trace:
-        """Trace the generation for one question. Malformed mention spans
-        or no valid grounding give a trace whose ``error`` says why."""
+        """Trace the generation for one question. Bad mention spans, an over-budget
+        canonical search or no valid grounding give a trace whose ``error`` says why."""
         try:
             seq = preprocess(question, mention_spans)
         except (TypeError, ValueError) as exc:
             return Trace(question, (), {}, [], [], error=f"bad mention spans: {exc}")
-        probs, ranked, merged = self.rank(seq, probs_override, rounds_out)
+        try:
+            probs, ranked, merged = self.rank(seq, probs_override, rounds_out)
+        except CanonicalizationError as exc:
+            return Trace(question, seq.tokens, {}, [], [], error=str(exc))
         trace = Trace(question, seq.tokens, probs, ranked, merged)
         all_candidates = list(candidates or [])
         symbols = {c.symbol for c in all_candidates}

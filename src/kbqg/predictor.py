@@ -462,7 +462,7 @@ def load_models(directory) -> dict[StructureKey, object]:
         for i, item in enumerate(manifest["models"]):
             with located(manifest_path, f"models[{i}]"):
                 path = directory / item["file"]
-            with np.load(path) as data, located(path, "__meta__"):
+            with located(path, 1), np.load(path) as data, located(path, "__meta__"):
                 meta = json.loads(bytes(data["__meta__"]).decode())
                 key = key_from_json(meta["key"])
                 if meta["kind"] == "bilstm":

@@ -292,15 +292,16 @@ def reference_merge_substructures(probs, catalog, cfg) -> list[tuple[str, float]
     containment pattern that full substructure enumeration gives.
     Returns (canonical key, score) in rank order."""
     from kbqg.merging import merge_pair, passes_restrictions
-    from kbqg.mining import contained_frequent_keys
+    from kbqg.mining import enumerate_substructures
     from kbqg.ranking import score_containment
 
     scores = {}
 
     def score(key, rep):
         if key not in scores:
-            scores[key] = score_containment(contained_frequent_keys(rep, catalog),
-                                            probs, catalog)
+            inside = enumerate_substructures(rep)
+            pattern = frozenset(k for k in catalog.substructures if k in inside)
+            scores[key] = score_containment(pattern, probs, catalog)
         return scores[key]
 
     current = {}

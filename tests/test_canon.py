@@ -4,19 +4,39 @@ brute-force bijection oracle."""
 import random
 from itertools import permutations
 
-from kbqg.canon import canonical_key, find_isomorphism, is_equivalent, is_substructure
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kbqg.canon import (
+    canonical_key,
+    find_embedding,
+    find_isomorphism,
+    is_equivalent,
+    is_substructure,
+)
 from kbqg.graph import (
+    AGG_RESULT,
     BUILTIN_LABELS,
+    COUNT,
+    ENTITY,
+    LITERAL,
+    MAXATN,
+    ORDER_LABELS,
     Triple,
     VARIABLE,
     Vertex,
     build_graph,
     builtin,
+    induced_subgraph,
+    user,
 )
+from kbqg.merging import merge_pair
 from kbqg.sparql import parse_query
 
 from .graphgen import random_graph, relabeled_copy
 from .oracles import oracle_is_equivalent, oracle_is_substructure
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 FIG_STYLE_COUNT_QUERY = (
     "SELECT (COUNT(?u) AS ?c) WHERE { ?u rdf:type :Film . ?u :director :T_Burton }")
@@ -158,6 +178,81 @@ def test_substructure_agrees_with_subset_oracle():
              for j in rng.sample(range(len(graphs)), 3)]
     for a, b in pairs[:36]:
         assert is_substructure(a, b) == oracle_is_substructure(a, b)
+
+
+def assert_embeds(a, b, witness):
+    """The witness maps a's vertices and user labels one-to-one, fixes
+    built-ins, and takes a's triples to distinct triples of b."""
+    f, g = witness
+    assert set(f) == {v.id for v in a.vertices}
+    assert len(set(f.values())) == len(f)
+    assert len({g[name] for name in a.user_labels}) == len(a.user_labels)
+    assert all(g[t.label.builtin] == t.label.builtin for t in a.triples if t.label.is_builtin)
+    image = {Triple(f[t.subject], t.label if t.label.is_builtin else user(g[t.label.name]),
+                    f[t.object]) for t in a.triples}
+    assert len(image) == len(a.triples) and image <= set(b.triples)
+
+
+def offset_graph(rng):
+    """A random graph with at least one MAXATN/MINATN offset literal."""
+    while True:
+        g = random_graph(rng, max_triples=3)
+        if g.order_values:
+            return g
+
+
+def shares_an_offset(g):
+    objects = [t.object for t in g.triples if t.label.builtin in ORDER_LABELS]
+    return len(objects) != len(set(objects))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, seeds, seeds)
+def test_substructure_of_a_merge_agrees_with_subset_oracle(seed_x, seed_y, seed_pick):
+    # a merge may unify two offset literals of equal value, so a triple
+    # subset can keep one ORDER edge onto that literal and drop the other
+    rng = random.Random(seed_pick)
+    x = offset_graph(random.Random(seed_x))
+    y = offset_graph(random.Random(seed_y))
+    merges = list(merge_pair(x, y).values())
+    shared = [m for m in merges if shares_an_offset(m)]
+    for b in rng.sample(shared, min(1, len(shared))) + [rng.choice(merges)]:
+        part = induced_subgraph(b, rng.sample(b.triples, rng.randint(1, len(b.triples))))
+        for a in (x, y, relabeled_copy(part, rng), random_graph(rng, max_triples=3)):
+            found = is_substructure(a, b)
+            assert found == oracle_is_substructure(a, b), (str(a), str(b))
+            if found:
+                assert_embeds(a, b, find_embedding(a, b))
+
+
+def test_a_literal_that_is_both_an_offset_and_a_property_value():
+    both = build_graph(
+        [Vertex("?x", VARIABLE), Vertex("?y", VARIABLE), Vertex("n", LITERAL, "2")],
+        [Triple("?x", user(":p"), "n"), Triple("?y", builtin(MAXATN), "n")])
+    plain = build_graph([Vertex("?x", VARIABLE), Vertex("L", LITERAL, "Lit")],
+                        [Triple("?x", user(":p"), "L")])
+
+    def offset(value):
+        return build_graph([Vertex("?y", VARIABLE), Vertex("m", LITERAL, value)],
+                           [Triple("?y", builtin(MAXATN), "m")])
+
+    for a, inside in ((plain, True), (offset("2"), True), (offset("3"), False)):
+        assert is_substructure(a, both) is inside
+        assert oracle_is_substructure(a, both) is inside
+        assert not is_substructure(both, a)
+    assert_embeds(plain, both, find_embedding(plain, both))
+
+
+def test_a_plain_variable_may_map_to_an_aggregation_result():
+    # without its COUNT edge, ?c is a plain variable of the subset
+    counted = build_graph(
+        [Vertex("?x", VARIABLE), Vertex("?c", AGG_RESULT), Vertex("e", ENTITY, ":E")],
+        [Triple("?x", builtin(COUNT), "?c"), Triple("?c", user(":p"), "e")])
+    plain = build_graph([Vertex("?v", VARIABLE), Vertex("f", ENTITY, ":F")],
+                        [Triple("?v", user(":q"), "f")])
+    assert is_substructure(plain, counted) and oracle_is_substructure(plain, counted)
+    assert find_embedding(plain, counted)[0]["?v"] == "?c"
+    assert not is_substructure(counted, plain)
 
 
 def test_canonical_key_is_deterministic_and_stringy():

@@ -20,6 +20,7 @@ from kbqg.evaluation import (
     training_fraction_sweep,
 )
 from kbqg.kb import AnswerSet
+from kbqg.mining import MAX_TRIPLES, mine
 from kbqg.predictor import TrainConfig
 from kbqg.sparql import parse_query
 from kbqg.toydata import build_dataset, build_dataset_records, build_kb
@@ -60,12 +61,16 @@ def test_load_dataset_skips_unsupported(tmp_path):
         {"question": "union?", "sparql":
             "SELECT ?x WHERE { { ?x :p :E } UNION { ?x :q :E } }"},
         {"question": "broken", "sparql": "SELECT WHERE {"},
+        # more triples than mining enumerates
+        {"question": "chain?", "sparql": "SELECT ?x0 WHERE { %s }" % " . ".join(
+            f"?x{i} :p ?x{i + 1}" for i in range(MAX_TRIPLES + 1))},
     ]
     path = tmp_path / "ds.json"
     path.write_text(json.dumps(records), encoding="utf-8")
     ds = load_dataset(path)
     assert len(ds.pairs) == 1
-    assert ds.skipped == 2
+    assert ds.skipped == 3
+    assert mine(ds.pairs, 0).structures
 
 
 def test_save_dataset_roundtrip(tmp_path, mini):

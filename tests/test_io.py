@@ -41,6 +41,8 @@ MALFORMED = {
     "gazetteer-two-fields": (DictionaryLinker.from_file, "gaz.tsv",
                              "jaws\tentity\t:Jaws\njaws :Jaws\n", 2),
     "dataset-syntax": (load_dataset, "ds.json", '[\n {"question": "q",\n "sparql" "x"}\n]', 3),
+    "dataset-nested-too-deep": (load_dataset, "ds.json", "[" * 100_000 + "]" * 100_000, 1),
+    "dataset-integer-too-long": (load_dataset, "ds.json", "[" + "9" * 5000 + "]", 1),
     "dataset-not-an-array": (load_dataset, "ds.json", json.dumps(GOOD_RECORD), 1),
     "dataset-mention-without-start": (load_dataset, "ds.json",
                                       json.dumps([GOOD_RECORD, MENTION_WITHOUT_START]),
@@ -115,6 +117,19 @@ def test_load_models_names_the_model_file_of_a_bad_model(tmp_path):
     with pytest.raises(InputError, match="unknown model kind 'other'") as info:
         load_models(tmp_path)
     assert str(info.value).startswith(f"{npz}:__meta__: ")
+
+
+@pytest.mark.parametrize("content", [b"plain text\n", b"", b"PK\x03\x04truncated"],
+                         ids=["text", "empty", "truncated-zip"])
+def test_load_models_names_a_model_file_that_is_not_an_archive(tmp_path, content):
+    key = mine(build_dataset(), 2).frequent_keys[0]
+    save_models({key: ConstantModel(0.5, key, 1.0)}, tmp_path)
+    npz = tmp_path / "model_0000.npz"
+    npz.write_bytes(content)
+    with pytest.raises(InputError) as info:
+        load_models(tmp_path)
+    assert info.value.path == npz and info.value.where == 1
+    assert str(info.value).startswith(f"{npz}:1: ")
 
 
 def test_load_dataset_skips_a_query_that_is_not_a_valid_graph(tmp_path, caplog):

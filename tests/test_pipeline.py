@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from kbqg import canon
 from kbqg.canon import canonical_key
 from kbqg.evaluation import gold_candidates
 from kbqg.kb import execute
@@ -116,6 +117,20 @@ def test_merge_only_setting_ranks_merged_provenance(oracle_generator):
     assert ranked == merged
     assert all(s.provenance == MERGED for s in ranked)
     assert ranked[0].key == canonical_key(pair.query)
+
+
+def test_canonicalization_error_goes_to_the_trace_error(oracle_generator, monkeypatch):
+    pairs, generator = oracle_generator
+    pair = next(p for p in pairs if p.qid == "s4-0")
+    pattern = contained_frequent_keys(pair.query, generator.catalog)
+    probs = {k: (1.0 if k in pattern else 0.0) for k in generator.catalog.substructures}
+    monkeypatch.setattr(canon, "MAX_LEAVES", 0)
+    canon.canonical_form.cache_clear()
+    trace = generator.generate(pair.question, [(m.start, m.end) for m in pair.mentions],
+                               gold_candidates(pair), probs_override=probs)
+    assert "leaf budget" in trace.error
+    assert trace.tokens and trace.probabilities == {}
+    assert trace.ranked == [] and trace.merged == [] and trace.results == []
 
 
 def test_overlapping_mention_spans_go_to_the_trace_error():
