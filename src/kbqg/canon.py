@@ -273,10 +273,17 @@ def _search(g: QueryGraph, colors: dict[tuple, int], state: dict) -> None:
         _search(g, _rank(branched), state)
 
 
-def _canonicalize(g: QueryGraph) -> tuple[str, dict[tuple, int]]:
+def _canonicalize(g: QueryGraph) -> tuple[StructureKey, dict[tuple, int]]:
     state = {"best": None, "best_colors": None, "leaves": 0}
     _search(g, _rank(_initial_colors(g)), state)
-    return state["best"], state["best_colors"]
+    key = StructureKey(state["best"], g.triple_count, g.aggregation_count)
+    return key, state["best_colors"]
+
+
+def structure_key(g: QueryGraph) -> StructureKey:
+    """The canonical key alone: no representative is built, and nothing
+    is cached."""
+    return _canonicalize(g)[0]
 
 
 @lru_cache(maxsize=8192)
@@ -288,8 +295,7 @@ def canonical_form(g: QueryGraph) -> tuple[StructureKey, QueryGraph]:
     placeholders (Ent1, Class1, Lit1, ...) except MAXATN/MINATN offsets,
     which keep their value; user-defined labels become Prop1, Prop2, ...
     """
-    canonical, colors = _canonicalize(g)
-    key = StructureKey(canonical, g.triple_count, g.aggregation_count)
+    key, colors = _canonicalize(g)
 
     order = sorted(colors, key=lambda atom: colors[atom])
     ov = g.order_values

@@ -10,15 +10,21 @@ every current candidate, keeps results that are connected, small enough
 and score above the threshold, and the final output is the union of all
 rounds.
 
-The work per round is cut in two ways, neither of which changes the
+The work per round is cut in three ways, none of which changes the
 output:
 
 * Restrictions first. Connectivity, the triple cap tau and the
   aggregation cap delta do not change under renaming, so ``merge_pair``
   checks them on the raw union and canonicalizes only the survivors. A
   union with no unified vertex is always disconnected and is never
-  built, and a vertex unification that cannot bring the union down to
-  tau triples is skipped before any label unification is tried.
+  built, one that unifies a vertex of two connected inputs is always
+  connected and is not checked, and a vertex unification that cannot
+  bring the union down to tau triples is skipped before any label
+  unification is tried.
+* Keys before representatives. ``merge_pair`` canonicalizes a union
+  for its key only and keeps the first union found per key; the
+  canonical representative is built only for the candidates that
+  survive theta and the beam and enter the next round and the result.
 * Scoring by embedding. A merge contains every frequent substructure
   that either input contains, so those are known without a test. Each
   other frequent substructure is embedded into the candidate
@@ -36,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .canon import StructureKey, canonical_form, is_substructure
+from .canon import StructureKey, canonical_form, is_substructure, structure_key
 from .graph import (
     AGG_RESULT,
     AGGREGATION_LABELS,
@@ -98,10 +104,12 @@ def _injective(pairs) -> bool:
 
 
 def _unite(a: QueryGraph, b: QueryGraph, vmap: dict[str, str], lmap: dict[str, str],
-           restrict: MergeConfig | None) -> QueryGraph | None:
+           restrict: MergeConfig | None, connected: bool) -> QueryGraph | None:
     """The union of a and a renamed-apart b with b's vertices ``vmap``
     and user labels ``lmap`` identified with a's; None if it is not a
-    valid graph or, given ``restrict``, fails the restrictions."""
+    valid graph or, given ``restrict``, fails the restrictions. With
+    ``connected`` (both inputs are connected) a union that unifies a
+    vertex is connected without a check."""
     triples = set(a.triples)
     for t in b.triples:
         label = t.label
@@ -119,7 +127,7 @@ def _unite(a: QueryGraph, b: QueryGraph, vmap: dict[str, str], lmap: dict[str, s
         merged = build_graph(verts, triples, None)
     except GraphError:
         return None
-    if restrict is not None and not merged.is_connected():
+    if restrict is not None and not (connected and vmap) and not merged.is_connected():
         return None
     return merged
 
@@ -131,7 +139,9 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
                counts: Counter | None = None) -> dict[StructureKey, QueryGraph]:
     """All structures obtainable by unifying up to ``max_shared_vertices``
     vertex pairs and ``max_shared_labels`` user-label pairs of the disjoint
-    union of a and b, deduplicated by canonical key.
+    union of a and b, deduplicated by canonical key: each key maps to the
+    first union found with it, as built (not the canonical representative,
+    which ``canonical_form`` gives).
 
     Without ``restrict`` the bare disjoint union is included. With it,
     only results that pass ``passes_restrictions(., restrict)`` are
@@ -148,6 +158,7 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
                   for l in range(max_shared_labels + 1)
                   for combo in combinations(label_pairs, l) if _injective(combo)]
     union_size = len(a.triples) + len(b.triples)
+    connected = a.is_connected() and b.is_connected()
 
     out: dict[StructureKey, QueryGraph] = {}
     generated = failed = 0
@@ -165,12 +176,11 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
                     failed += len(label_maps)
                     continue
             for lmap in label_maps:
-                merged = _unite(a, b, vmap, lmap, restrict)
+                merged = _unite(a, b, vmap, lmap, restrict, connected)
                 if merged is None:
                     failed += 1
                     continue
-                key, rep = canonical_form(merged)
-                out.setdefault(key, rep)
+                out.setdefault(structure_key(merged), merged)
     if counts is not None:
         counts.update(generated=generated, failed_restrictions=failed)
     return out
@@ -276,6 +286,8 @@ def merge_substructures(probs: dict[StructureKey, float],
             counts["cut_by_beam"] = len(merged) - cfg.beam
             best_keys = sorted(merged, key=lambda k: (-scores[k], k.sort_key()))[:cfg.beam]
             merged = {k: merged[k] for k in best_keys}
+        # only the survivors get their canonical representative
+        merged = {k: canonical_form(g)[1] for k, g in merged.items()}
         result.update(merged)
         current = merged
         record_round(_round + 1, current, counts)

@@ -14,10 +14,13 @@ falls back to a constant predictor at the clamped label prevalence.
 The rank-without-substructures ablation instead trains one softmax
 classifier over whole structures. It and the per-substructure BiLSTMs
 share one example builder (``_examples``) and one training loop
-(``_fit``: minibatch Adam with early stopping on the dev loss). The loop
-hands the network whole padded minibatches (``nn.batch_loss_and_grads``),
-so each minibatch, each epoch's dev loss and the final dev accuracy is
-one batched call; models are trained one after another, never stacked.
+(``_fit``: minibatch Adam with early stopping on the dev loss). ``_fit``
+trains a stack of models at once (``nn.forward_stack``): every
+per-substructure BiLSTM of a catalog is one stack, and the classifier is
+a stack of one. The models keep their own weights, random streams and
+early stopping, so each comes out exactly as it would if trained alone;
+a step runs every active model over its own minibatch in one batched
+pass with one Adam update.
 """
 
 from __future__ import annotations
@@ -211,18 +214,19 @@ def _split_dev(items, rng: np.random.Generator):
 
 
 def _examples(pairs, dev_pairs, cfg: TrainConfig, label):
-    """Train examples, dev examples and the training vocabulary; each
-    example is ``(TokenSequence, label(query))``. Without ``dev_pairs`` a
-    seeded slice of ``pairs`` is held out as the dev set."""
+    """Train examples, dev examples and the training vocabulary; the
+    examples of each set are ``(TokenSequences, [label(query)])``.
+    Without ``dev_pairs`` a seeded slice of ``pairs`` is held out as the
+    dev set."""
     if dev_pairs is None:
         pairs, dev_pairs = _split_dev(list(pairs), np.random.default_rng(cfg.seed))
 
-    def example(pair):
-        return preprocess(pair.question, mention_spans_of(pair)), label(pair.query)
+    def examples(some_pairs):
+        return ([preprocess(p.question, mention_spans_of(p)) for p in some_pairs],
+                [label(p.query) for p in some_pairs])
 
-    train_ex = [example(p) for p in pairs]
-    dev_ex = [example(p) for p in dev_pairs]
-    return train_ex, dev_ex, build_vocab(seq for seq, _ in train_ex)
+    train_ex = examples(pairs)
+    return train_ex, examples(dev_pairs), build_vocab(train_ex[0])
 
 
 def _accuracy(predicted, labels) -> float:
@@ -232,82 +236,94 @@ def _accuracy(predicted, labels) -> float:
     return float(np.mean(np.asarray(predicted) == np.asarray(labels)))
 
 
-def _fit(params, train_ex, dev_ex, vocab, cfg: TrainConfig, rng: np.random.Generator,
+def _fit(params, seqs, labels, dev_seqs, dev_labels, vocab, cfg: TrainConfig, rngs,
          drop_ids=()):
-    """Minibatch Adam on the mean example loss, with early stopping on
-    the summed dev loss. Each epoch visits the examples in an ``rng``
-    order; during training every token id in ``drop_ids`` becomes
-    ``<unk>`` with probability ``UNK_RATE``. Each minibatch, each dev
-    loss and the final accuracy is one batched network call. Returns the
-    parameters of the best dev epoch (the last ones without a dev set)
-    and their accuracy on the dev examples (the training examples without
-    a dev set): ``prob >= 0.5`` for a binary head, the argmax class for a
-    softmax head."""
-    opt = nn.Adam(params, lr=cfg.learning_rate)
-    encoded = [(np.array(encode(seq, vocab)), y) for seq, y in train_ex]
-    dev_ids = [np.array(encode(seq, vocab)) for seq, _ in dev_ex]
-    dev_labels = [y for _, y in dev_ex]
+    """Train a stack of models at once: minibatch Adam on each model's
+    mean example loss, with early stopping on its summed dev loss.
+
+    ``params`` is stacked (``nn.stack``) over the M models; the models
+    share the examples ``seqs`` and ``dev_seqs`` and read their own labels
+    ``labels`` (M, N) and ``dev_labels`` (M, N_dev). Each epoch model j
+    visits the examples in an order drawn from ``rngs[j]``, and during
+    training every token id in ``drop_ids`` becomes ``<unk>`` with
+    probability ``UNK_RATE``, also drawn from ``rngs[j]``. Each step runs
+    every active model over its own minibatch, padded to the longest
+    training example, in one stacked pass and one Adam update; each
+    epoch's dev losses and the final accuracies are one stacked pass each.
+    A model whose dev loss has not improved for more than ``cfg.patience``
+    epochs leaves the stack: it makes no more draws and gets no more
+    updates. Returns the stacked parameters of each model's best dev epoch
+    (the last ones without a dev set) and each model's accuracy on the dev
+    examples (the training examples without a dev set): ``prob >= 0.5``
+    for a binary head, the argmax class for a softmax head."""
+    encoded = [encode(seq, vocab) for seq in seqs]
+    dev_ids = [encode(seq, vocab) for seq in dev_seqs]
+    # minibatches are cut from the training examples padded to the longest
+    # one, so a model's steps do not depend on the other models in the stack
+    padded = [a[0] for a in nn.pad([encoded])] if encoded else None
+    dev_padded = nn.pad([dev_ids]) if dev_ids else None
     drop_ids = np.asarray(drop_ids, dtype=int)
     droppable = np.zeros(len(vocab), dtype=bool)
     droppable[drop_ids] = True
     unk = vocab[UNK_TOKEN]
 
-    best_loss = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
-    stale = 0
+    opt = nn.Adam(params, lr=cfg.learning_rate)
+    best = {k: v.copy() for k, v in params.items()}
+    best_loss = np.full(len(rngs), np.inf)
+    stale = np.zeros(len(rngs), dtype=int)
+    active = np.arange(len(rngs))
     for _epoch in range(cfg.epochs):
-        order = rng.permutation(len(encoded))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [encoded[i] for i in order[start:start + cfg.batch_size]]
-            seqs = []
-            for ids, _y in batch:
-                if drop_ids.size:
-                    drop = rng.random(len(ids)) < UNK_RATE
-                    ids = np.where(drop & droppable[ids], unk, ids)
-                seqs.append(ids)
-            if cfg.learning_rate == 0:
-                continue
-            _loss, grads = nn.batch_loss_and_grads(params, seqs, [y for _, y in batch],
-                                                   cfg.d_h)
-            for name in grads:
-                grads[name] /= len(batch)
+        orders = np.array([rngs[j].permutation(len(encoded)) for j in active])
+        # at learning rate 0 no step would move the parameters
+        for start in range(0, len(encoded) if cfg.learning_rate else 0, cfg.batch_size):
+            batch = orders[:, start:start + cfg.batch_size]
+            ids, mask, rev = (a[batch] for a in padded)
+            if drop_ids.size:
+                # each model draws for its examples in batch order, token by token
+                tokens = ids[mask]
+                draws = np.concatenate([rngs[j].random(n)
+                                        for j, n in zip(active, mask.sum(axis=(1, 2)))])
+                ids[mask] = np.where((draws < UNK_RATE) & droppable[tokens], unk, tokens)
+            cache = nn.forward_stack(params, (ids, mask, rev), cfg.d_h)
+            grads = nn.backward_stack(params, cache,
+                                      np.take_along_axis(labels[active], batch, axis=1))
+            for g in grads.values():
+                g /= batch.shape[1]
             opt.step(grads)
-        if dev_ids:
-            dev_loss = nn.batch_loss(params, dev_ids, dev_labels, cfg.d_h)
-            if dev_loss < best_loss - 1e-9:
-                best_loss = dev_loss
-                best_params = {k: v.copy() for k, v in params.items()}
-                stale = 0
-            else:
-                stale += 1
-                if stale > cfg.patience:
-                    break
+        if dev_padded is None:
+            continue
+        dev_loss = nn.stack_losses(
+            nn.forward_stack(params, [a.repeat(len(active), axis=0) for a in dev_padded],
+                             cfg.d_h),
+            dev_labels[active])
+        improved = dev_loss < best_loss[active] - 1e-9
+        for name, p in params.items():
+            best[name][active[improved]] = p[improved]
+        best_loss[active[improved]] = dev_loss[improved]
+        stale[active] = np.where(improved, 0, stale[active] + 1)
+        keep = stale[active] <= cfg.patience
+        if not keep.all():
+            active = active[keep]
+            if not active.size:
+                break
+            opt.take(np.flatnonzero(keep))
+    if dev_padded is None:
+        best = params
+        dev_ids, dev_labels = encoded, labels
+    accuracies = [float("nan")] * len(rngs)
     if dev_ids:
-        params = best_params
-    else:
-        dev_ids, dev_labels = [ids for ids, _ in encoded], [y for _, y in encoded]
-    predicted = []
-    if dev_ids:
-        out = nn.forward_batch(params, dev_ids, cfg.d_h)
-        predicted = out["prob"] >= 0.5 if "prob" in out else out["class_probs"].argmax(axis=1)
-    return params, _accuracy(predicted, dev_labels)
+        out = nn.forward_stack(best, nn.pad([dev_ids] * len(rngs)), cfg.d_h)
+        predicted = out["prob"] >= 0.5 if "prob" in out else out["class_probs"].argmax(axis=-1)
+        accuracies = [_accuracy(p, y) for p, y in zip(predicted, dev_labels)]
+    return best, accuracies
 
 
-def _train_bilstm(key, train_ex, dev_ex, vocab, singleton_ids, cfg: TrainConfig):
-    rng = _model_seed(cfg.seed, key)
-    params = nn.init_params(len(vocab), cfg.d_e, cfg.d_h, 1, rng)
-    params, accuracy = _fit(params, train_ex, dev_ex, vocab, cfg, rng, singleton_ids)
-    return PredictorModel(vocab, params, cfg.d_e, cfg.d_h, key, accuracy)
-
-
-def _train_bow(key, train_ex, vocab):
-    X = np.zeros((len(train_ex), len(vocab) + 1))
-    y = np.zeros(len(train_ex))
-    for row, (seq, label) in enumerate(train_ex):
+def _train_bow(key, seqs, y, vocab):
+    X = np.zeros((len(seqs), len(vocab) + 1))
+    for row, seq in enumerate(seqs):
         for i in encode(seq, vocab):
             X[row, i] = 1.0
         X[row, -1] = 1.0
-        y[row] = label
     lam = 1e-3
 
     def objective(w):
@@ -332,40 +348,47 @@ def train(pairs, catalog: SubstructureCatalog, cfg: TrainConfig,
     """
     if not catalog.substructures:
         raise ValueError("catalog has no frequent substructures")
-    train_items, dev_items, vocab = _examples(
+    (seqs, contained), (dev_seqs, dev_contained), vocab = _examples(
         pairs, dev_pairs, cfg, lambda query: contained_frequent_keys(query, catalog))
     counts: dict[str, int] = {}
-    for seq, _ in train_items:
+    for seq in seqs:
         for tok in seq.tokens:
             counts[tok] = counts.get(tok, 0) + 1
     singleton_ids = np.array(sorted(vocab[t] for t, c in counts.items() if c == 1),
                              dtype=int)
+    keys = catalog.frequent_keys
+    labels = np.array([[float(key in c) for c in contained] for key in keys])
+    dev_labels = np.array([[float(key in c) for c in dev_contained] for key in keys])
 
     models: dict[StructureKey, object] = {}
-    for key in catalog.frequent_keys:
-        train_ex = [(seq, 1.0 if key in contained else 0.0)
-                    for seq, contained in train_items]
-        dev_ex = [(seq, 1.0 if key in contained else 0.0)
-                  for seq, contained in dev_items]
-        labels = {y for _, y in train_ex}
-        if len(labels) < 2:
-            prevalence = train_ex[0][1] if train_ex else 0.5
-            prob = float(np.clip(prevalence, 0.05, 0.95))
+    stacked = []
+    for i, (key, y, dev_y) in enumerate(zip(keys, labels, dev_labels)):
+        if len(set(y)) < 2:
+            prob = float(np.clip(y[0] if len(y) else 0.5, 0.05, 0.95))
             warnings.warn(
                 f"substructure {key.canonical!r} has a degenerate label set; "
                 f"using constant probability {prob}", DegenerateLabelWarning)
             models[key] = ConstantModel(prob, key)
-            continue
-        if cfg.arch == "bow":
-            model = _train_bow(key, train_ex, vocab)
-            scored = dev_ex or train_ex
+        elif cfg.arch == "bow":
+            model = _train_bow(key, seqs, y, vocab)
+            scored, scored_y = (dev_seqs, dev_y) if dev_seqs else (seqs, y)
             model.dev_accuracy = _accuracy(
-                [model.predict_proba(seq) >= 0.5 for seq, _ in scored],
-                [y for _, y in scored])
+                [model.predict_proba(seq) >= 0.5 for seq in scored], scored_y)
+            models[key] = model
         else:
-            model = _train_bilstm(key, train_ex, dev_ex, vocab, singleton_ids, cfg)
-        models[key] = model
-    return models
+            stacked.append(i)
+    if stacked:
+        # every BiLSTM predictor of the catalog, trained as one stack
+        rngs = [_model_seed(cfg.seed, keys[i]) for i in stacked]
+        params = nn.stack([nn.init_params(len(vocab), cfg.d_e, cfg.d_h, 1, rng)
+                           for rng in rngs])
+        params, accuracies = _fit(params, seqs, labels[stacked], dev_seqs,
+                                  dev_labels[stacked], vocab, cfg, rngs, singleton_ids)
+        for j, (i, accuracy) in enumerate(zip(stacked, accuracies)):
+            models[keys[i]] = PredictorModel(
+                vocab, {name: p[j].copy() for name, p in params.items()},
+                cfg.d_e, cfg.d_h, keys[i], accuracy)
+    return {key: models[key] for key in keys}
 
 
 def predict_all(models: dict[StructureKey, object],
@@ -407,12 +430,14 @@ def train_structure_classifier(pairs, catalog: SubstructureCatalog,
                                cfg: TrainConfig, dev_pairs=None) -> StructureClassifier:
     keys = sorted(catalog.structures, key=StructureKey.sort_key)
     index = {k: i for i, k in enumerate(keys)}
-    train_ex, dev_ex, vocab = _examples(pairs, dev_pairs, cfg,
-                                        lambda query: index[canonical_key(query)])
+    (seqs, labels), (dev_seqs, dev_labels), vocab = _examples(
+        pairs, dev_pairs, cfg, lambda query: index[canonical_key(query)])
     rng = np.random.default_rng([cfg.seed, len(keys)])
-    params = nn.init_params(len(vocab), cfg.d_e, cfg.d_h, len(keys), rng)
-    params, accuracy = _fit(params, train_ex, dev_ex, vocab, cfg, rng)
-    return StructureClassifier(vocab, params, cfg.d_h, keys, accuracy)
+    params = nn.stack([nn.init_params(len(vocab), cfg.d_e, cfg.d_h, len(keys), rng)])
+    params, (accuracy,) = _fit(params, seqs, np.array([labels], dtype=int), dev_seqs,
+                               np.array([dev_labels], dtype=int), vocab, cfg, [rng])
+    return StructureClassifier(vocab, {name: p[0].copy() for name, p in params.items()},
+                               cfg.d_h, keys, accuracy)
 
 
 # ---------------------------------------------------------------------------

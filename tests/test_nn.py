@@ -228,3 +228,131 @@ def test_empty_sequence_is_rejected():
         nn.forward_batch(params, [[1, 2], []], 4)
     with pytest.raises(ValueError):
         nn.forward_batch(params, [], 4)
+
+
+# ---------------------------------------------------------------------------
+# stacks of models
+
+# one minibatch per model, each padded to its own length when run alone
+STACK = [[[2, 7, 0, 5, 1], [4], [0, 0, 3]],
+         [[8, 6], [1, 2, 3], [5]],
+         [[0], [3, 3, 1, 2, 6, 7, 8], [4, 4]]]
+
+
+def stacked_models(n_out, seed=79):
+    return [tiny_params(seed=seed + j, n_out=n_out) for j in range(len(STACK))]
+
+
+def stack_labels(n_out, seed=83):
+    rng = np.random.default_rng(seed)
+    shape = (len(STACK), len(STACK[0]))
+    return rng.integers(0, 2, size=shape).astype(float) if n_out == 1 else rng.integers(
+        0, n_out, size=shape)
+
+
+def test_stack_matches_each_model_run_alone():
+    for n_out in (1, 3):
+        models = stacked_models(n_out)
+        labels = stack_labels(n_out)
+        params = nn.stack(models)
+        padded = nn.pad(STACK)
+        assert padded[0].shape == (3, 3, 7)
+        cache = nn.forward_stack(params, padded, 4)
+        losses = nn.stack_losses(cache, labels)
+        grads = nn.backward_stack(params, cache, labels)
+        for j, (model, batch, y) in enumerate(zip(models, STACK, labels)):
+            alone = nn.forward_batch(model, batch, 4)
+            length = max(map(len, batch))
+            out = "prob" if n_out == 1 else "class_probs"
+            np.testing.assert_allclose(cache[out][j], alone[out], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cache["attention"][j, :, :length], alone["attention"],
+                                       rtol=0, atol=1e-12)
+            assert (cache["attention"][j, :, length:] == 0.0).all()
+            assert abs(losses[j] - nn.loss_from_cache(alone, y)) <= 1e-12
+            for name, g in nn.backward(model, alone, y).items():
+                np.testing.assert_allclose(grads[name][j], g, rtol=0, atol=1e-12,
+                                           err_msg=(n_out, j, name))
+
+
+def test_gradient_check_through_stack():
+    for n_out in (1, 3):
+        params = nn.stack(stacked_models(n_out, seed=89))
+        labels = stack_labels(n_out, seed=97)
+        padded = nn.pad(STACK)
+
+        def total_loss():
+            return nn.stack_losses(nn.forward_stack(params, padded, 4), labels).sum()
+
+        grads = nn.backward_stack(params, nn.forward_stack(params, padded, 4), labels)
+        eps = 1e-4
+        for name, p in params.items():
+            num = np.zeros_like(p)
+            it = np.nditer(p, flags=["multi_index"])
+            for _ in it:
+                idx = it.multi_index
+                old = p[idx]
+                p[idx] = old + eps
+                lp = total_loss()
+                p[idx] = old - eps
+                lm = total_loss()
+                p[idx] = old
+                num[idx] = (lp - lm) / (2 * eps)
+            denom = np.maximum(np.abs(num) + np.abs(grads[name]), 1e-6)
+            assert (np.abs(num - grads[name]) / denom).max() <= 1e-3, (n_out, name)
+
+
+def test_stacked_minibatches_must_match_in_size():
+    params = nn.stack(stacked_models(1))
+    with pytest.raises(ValueError):
+        nn.forward_stack(params, nn.pad([[[1, 2]], [[3], [4]], [[5]]]), 4)
+
+
+def reference_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam written per tensor, as the update formula reads."""
+    m = nn.zeros_like_params(params)
+    v = nn.zeros_like_params(params)
+    for t, grads in enumerate(grad_steps, start=1):
+        for name, p in params.items():
+            g = grads[name]
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            m_hat = m[name] / (1.0 - b1 ** t)
+            v_hat = v[name] / (1.0 - b2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
+def random_grad_steps(params, n, seed):
+    rng = np.random.default_rng(seed)
+    return [{name: rng.normal(size=p.shape) for name, p in params.items()}
+            for _ in range(n)]
+
+
+def test_flat_adam_matches_per_tensor_formula():
+    params = nn.stack(stacked_models(3))
+    expected = reference_adam({k: v.copy() for k, v in params.items()},
+                              random_grad_steps(params, 6, seed=101), lr=3e-2)
+    opt = nn.Adam(params, lr=3e-2)
+    for grads in random_grad_steps(params, 6, seed=101):
+        opt.step(grads)
+    for name in params:
+        assert np.shares_memory(params[name], opt.flat)
+        np.testing.assert_array_equal(params[name], expected[name], err_msg=name)
+
+
+def test_adam_take_continues_the_kept_models_alone():
+    models = stacked_models(1)
+    params = nn.stack(models)
+    steps = random_grad_steps(params, 7, seed=103)
+    opt = nn.Adam(params, lr=3e-2)
+    for grads in steps[:4]:
+        opt.step(grads)
+    opt.take(np.array([0, 2]))
+    for grads in steps[4:]:
+        opt.step({name: g[[0, 2]] for name, g in grads.items()})
+    for row, j in enumerate((0, 2)):
+        alone = reference_adam({k: v.copy() for k, v in models[j].items()},
+                               [{k: g[j] for k, g in grads.items()} for grads in steps],
+                               lr=3e-2)
+        for name in params:
+            np.testing.assert_array_equal(params[name][row], alone[name], err_msg=name)

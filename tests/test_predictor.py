@@ -206,3 +206,43 @@ def test_structure_classifier_ranks_gold_first():
     assert ranked[0].key == gold
     probs = clf.probabilities(preprocess("who made the gadget?"))
     assert abs(probs.sum() - 1.0) < 1e-9
+
+
+def test_stacked_models_equal_models_fitted_alone_under_early_stopping(monkeypatch):
+    import kbqg.nn as nn
+    from kbqg.evaluation import Dataset, make_folds, split_fold
+    from kbqg.mining import SubstructureCatalog
+    from kbqg.toydata import build_dataset
+
+    pairs = Dataset("mini", build_dataset()).pairs
+    train_pairs, dev_pairs, _test = split_fold(pairs, make_folds(pairs, 5, 13), 0, 13,
+                                               "stratified")
+    catalog = mine(train_pairs, 2)
+    cfg = small_cfg(epochs=12, batch_size=8, patience=0, seed=13)
+    stack_sizes = []
+    stack_losses = nn.stack_losses
+
+    def spy(cache, y):
+        stack_sizes.append(len(y))
+        return stack_losses(cache, y)
+
+    monkeypatch.setattr(nn, "stack_losses", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stacked = train(train_pairs, catalog, cfg, dev_pairs)
+        # one dev pass per epoch; models leave the stack after different epochs
+        assert len(set(stack_sizes)) >= 3, stack_sizes
+        assert stack_sizes[0] == sum(isinstance(m, PredictorModel) for m in stacked.values())
+        for key, model in stacked.items():
+            single = SubstructureCatalog(catalog.gamma, catalog.structures,
+                                         {key: catalog.substructures[key]},
+                                         catalog.containment)
+            stack_sizes.clear()
+            alone = train(train_pairs, single, cfg, dev_pairs)[key]
+            assert type(alone) is type(model)
+            if isinstance(model, PredictorModel):
+                assert set(stack_sizes) == {1}
+                assert alone.dev_accuracy == model.dev_accuracy
+                for name in model.params:
+                    np.testing.assert_array_equal(model.params[name], alone.params[name],
+                                                  err_msg=name)
