@@ -280,9 +280,9 @@ def _canonicalize(g: QueryGraph) -> tuple[StructureKey, dict[tuple, int]]:
     return key, state["best_colors"]
 
 
-def structure_key(g: QueryGraph) -> StructureKey:
-    """The canonical key alone: no representative is built, and nothing
-    is cached."""
+def uncached_key(g: QueryGraph) -> StructureKey:
+    """``canonical_key`` without the cache and without building a
+    representative: for graphs canonicalized once, such as merge unions."""
     return _canonicalize(g)[0]
 
 
@@ -330,4 +330,6 @@ def canonical_form(g: QueryGraph) -> tuple[StructureKey, QueryGraph]:
 
 
 def canonical_key(g: QueryGraph) -> StructureKey:
+    """The canonical key, through the ``canonical_form`` cache; see
+    ``uncached_key`` for graphs seen only once."""
     return canonical_form(g)[0]

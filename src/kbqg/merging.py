@@ -42,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .canon import StructureKey, canonical_form, is_substructure, structure_key
+from .canon import StructureKey, canonical_form, is_substructure, uncached_key
 from .graph import (
     AGG_RESULT,
     AGGREGATION_LABELS,
@@ -180,7 +180,7 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
                 if merged is None:
                     failed += 1
                     continue
-                out.setdefault(structure_key(merged), merged)
+                out.setdefault(uncached_key(merged), merged)
     if counts is not None:
         counts.update(generated=generated, failed_restrictions=failed)
     return out

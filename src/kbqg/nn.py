@@ -99,12 +99,12 @@ def _one(params: dict) -> dict:
     return {name: p[None] for name, p in params.items()}
 
 
-def pad(batches, length: int | None = None):
+def pad(batches):
     """Padded ids (M, B, T) of one minibatch per model, the mask of real
     positions (M, B, T), and the index (M, B, T) that reverses each
     sequence within its own length (and maps every padded position to
-    itself). Every minibatch holds B sequences; T is ``length``, or the
-    longest sequence when it is None."""
+    itself). Every minibatch holds B sequences; T is the longest
+    sequence."""
     seqs = [np.asarray(s, dtype=int) for batch in batches for s in batch]
     lengths = np.array([len(s) for s in seqs])
     if not seqs or lengths.min() == 0:
@@ -112,7 +112,7 @@ def pad(batches, length: int | None = None):
     if any(len(b) != len(batches[0]) for b in batches):
         raise ValueError("stacked minibatches differ in size")
     lengths = lengths.reshape(len(batches), -1, 1)
-    steps = np.arange(lengths.max() if length is None else length)
+    steps = np.arange(lengths.max())
     mask = steps < lengths
     ids = np.zeros(mask.shape, dtype=int)
     ids[mask] = np.concatenate(seqs)

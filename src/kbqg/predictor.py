@@ -248,8 +248,9 @@ def _fit(params, seqs, labels, dev_seqs, dev_labels, vocab, cfg: TrainConfig, rn
     training every token id in ``drop_ids`` becomes ``<unk>`` with
     probability ``UNK_RATE``, also drawn from ``rngs[j]``. Each step runs
     every active model over its own minibatch, padded to the longest
-    training example, in one stacked pass and one Adam update; each
-    epoch's dev losses and the final accuracies are one stacked pass each.
+    example among the stack's minibatches, in one stacked pass and one
+    Adam update; each epoch's dev losses and the final accuracies are one
+    stacked pass each.
     A model whose dev loss has not improved for more than ``cfg.patience``
     epochs leaves the stack: it makes no more draws and gets no more
     updates. Returns the stacked parameters of each model's best dev epoch
@@ -258,9 +259,10 @@ def _fit(params, seqs, labels, dev_seqs, dev_labels, vocab, cfg: TrainConfig, rn
     for a binary head, the argmax class for a softmax head."""
     encoded = [encode(seq, vocab) for seq in seqs]
     dev_ids = [encode(seq, vocab) for seq in dev_seqs]
-    # minibatches are cut from the training examples padded to the longest
-    # one, so a model's steps do not depend on the other models in the stack
+    # the training examples padded once; each step cuts its minibatches from
+    # them and trims the padding to the longest example it holds
     padded = [a[0] for a in nn.pad([encoded])] if encoded else None
+    lengths = padded[1].sum(axis=1) if encoded else None
     dev_padded = nn.pad([dev_ids]) if dev_ids else None
     drop_ids = np.asarray(drop_ids, dtype=int)
     droppable = np.zeros(len(vocab), dtype=bool)
@@ -277,7 +279,8 @@ def _fit(params, seqs, labels, dev_seqs, dev_labels, vocab, cfg: TrainConfig, rn
         # at learning rate 0 no step would move the parameters
         for start in range(0, len(encoded) if cfg.learning_rate else 0, cfg.batch_size):
             batch = orders[:, start:start + cfg.batch_size]
-            ids, mask, rev = (a[batch] for a in padded)
+            steps = lengths[batch].max()
+            ids, mask, rev = (a[batch, :steps] for a in padded)
             if drop_ids.size:
                 # each model draws for its examples in batch order, token by token
                 tokens = ids[mask]
@@ -309,10 +312,12 @@ def _fit(params, seqs, labels, dev_seqs, dev_labels, vocab, cfg: TrainConfig, rn
             opt.take(np.flatnonzero(keep))
     if dev_padded is None:
         best = params
-        dev_ids, dev_labels = encoded, labels
+        dev_padded = [a[None] for a in padded] if encoded else None
+        dev_labels = labels
     accuracies = [float("nan")] * len(rngs)
-    if dev_ids:
-        out = nn.forward_stack(best, nn.pad([dev_ids] * len(rngs)), cfg.d_h)
+    if dev_padded is not None:
+        out = nn.forward_stack(best, [a.repeat(len(rngs), axis=0) for a in dev_padded],
+                               cfg.d_h)
         predicted = out["prob"] >= 0.5 if "prob" in out else out["class_probs"].argmax(axis=-1)
         accuracies = [_accuracy(p, y) for p, y in zip(predicted, dev_labels)]
     return best, accuracies

@@ -243,6 +243,9 @@ def test_stacked_models_equal_models_fitted_alone_under_early_stopping(monkeypat
             if isinstance(model, PredictorModel):
                 assert set(stack_sizes) == {1}
                 assert alone.dev_accuracy == model.dev_accuracy
+                # a step pads to the longest example among the stack's
+                # minibatches, which moves sums by rounding only; the
+                # tolerance is that of the training golden test
                 for name in model.params:
-                    np.testing.assert_array_equal(model.params[name], alone.params[name],
-                                                  err_msg=name)
+                    np.testing.assert_allclose(model.params[name], alone.params[name],
+                                               rtol=0, atol=1e-10, err_msg=name)
