@@ -50,8 +50,7 @@ count_key = next(k for k in catalog.substructures
                  if k.agg_count == 1 and k.triple_count == 1
                  and "COUNT" in k.canonical)
 one = SubstructureCatalog(
-    catalog.gamma, catalog.structures,
-    {count_key: catalog.substructures[count_key]}, catalog.containment)
+    catalog.gamma, catalog.structures, {count_key: catalog.substructures[count_key]})
 neural = train(train_pairs, one,
                TrainConfig(d_e=24, d_h=24, learning_rate=5e-3, epochs=60,
                            batch_size=8, patience=1000, seed=13), dev_pairs)

@@ -27,7 +27,8 @@ from .kb import format_answer, load_kb
 from .merging import MergeConfig
 from .mining import load_catalog, mine, save_catalog
 from .pipeline import SETTINGS, QueryGenerator
-from .predictor import TrainConfig, load_models, save_models, train
+from .predictor import (TrainConfig, load_models, save_models, train,
+                        train_structure_classifier)
 from .ranking import write_ranked_jsonl
 from .sparql import load_prefixes, serialize_query
 from .toydata import data_dir
@@ -125,14 +126,16 @@ def cmd_generate(args):
     dataset, kb, linker = _load_inputs(args)
     catalog = load_catalog(args.catalog) if args.catalog else mine(dataset.pairs,
                                                                    args.gamma)
-    if args.models:
+    config = _pipeline_config(args)
+    models, classifier = {}, None
+    if config.setting == "rank-wo-sub":
+        classifier = train_structure_classifier(dataset.pairs, catalog, config.train)
+    elif args.models:
         models = load_models(args.models)
     else:
-        models = train(dataset.pairs, catalog, _pipeline_config(args).train)
-    generator = QueryGenerator(catalog, models, kb,
-                               MergeConfig(k_max=args.K, theta=args.theta,
-                                           tau=args.tau, delta=args.delta),
-                               top_k=args.top_k, setting=args.setting)
+        models = train(dataset.pairs, catalog, config.train)
+    generator = QueryGenerator(catalog, models, kb, config.merge, top_k=config.top_k,
+                               setting=config.setting, structure_classifier=classifier)
     if args.candidates:
         candidates = load_candidates(args.candidates)
         spans = sorted({c.span for c in candidates
@@ -266,6 +269,8 @@ def main(argv=None):
     p.set_defaults(func=cmd_noisy)
 
     args = parser.parse_args(argv)
+    if getattr(args, "models", None) and args.setting == "rank-wo-sub":
+        parser.error("--models cannot be used with --setting rank-wo-sub")
     return args.func(args)
 
 

@@ -57,6 +57,9 @@ KIND_LITERAL = "literal"
 
 LINK_KINDS = (KIND_ENTITY, KIND_PROPERTY, KIND_CLASS, KIND_LITERAL)
 
+#: filled queries tried per structure before ``ground`` moves to the next one
+BUDGET_PER_STRUCTURE = 10_000
+
 
 class NoValidGroundingError(RuntimeError):
     pass
@@ -225,8 +228,7 @@ def candidate_targets(structure: QueryGraph) -> list[str]:
 def ground(ranked_structures: list[ScoredStructure],
            candidates: list[LinkingCandidate],
            kb: KnowledgeBase,
-           top_k: int = 5,
-           budget_per_structure: int = 10_000) -> list[GroundingResult]:
+           top_k: int = 5) -> list[GroundingResult]:
     """Fill, validate and execute structures in rank order; collect up to
     ``top_k`` passing queries. Raises NoValidGroundingError when every
     combination across every structure fails."""
@@ -256,7 +258,7 @@ def ground(ranked_structures: list[ScoredStructure],
             continue
         attempts = 0
         for choice, lscore in enumerate_assignments(slot_candidates):
-            if attempts >= budget_per_structure or len(results) >= top_k:
+            if attempts >= BUDGET_PER_STRUCTURE or len(results) >= top_k:
                 break
             used: dict[str, set] = {}
             clash = False
@@ -272,7 +274,7 @@ def ground(ranked_structures: list[ScoredStructure],
             assignment = {slot: cand.symbol for slot, cand in zip(slots, choice)}
             for target in targets:
                 attempts += 1
-                if attempts > budget_per_structure:
+                if attempts > BUDGET_PER_STRUCTURE:
                     break
                 grounded = _fill(structure, assignment, target)
                 if not validate_grammar(grounded):

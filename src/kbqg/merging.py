@@ -25,15 +25,10 @@ output:
   for its key only and keeps the first union found per key; the
   canonical representative is built only for the candidates that
   survive theta and the beam and enter the next round and the result.
-* Scoring by embedding. A merge contains every frequent substructure
-  that either input contains, so those are known without a test. Each
-  other frequent substructure is embedded into the candidate
-  (``is_substructure``), smallest first, instead of enumerating and
-  canonicalizing every connected triple subset of the candidate. By
-  downward closure, a substructure with an absent frequent part is
-  absent without a test, and a present one brings its frequent parts
-  along. The resulting containment pattern is scored exactly as
-  ``rank_existing`` scores a mined structure.
+* Known parts. A merge contains every frequent substructure that either
+  input contains, so ``contained_frequent_keys`` is given those and
+  tests only the others. The resulting containment pattern is scored
+  exactly as ``rank_existing`` scores a mined structure.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .canon import StructureKey, canonical_form, is_substructure, uncached_key
+from .canon import StructureKey, canonical_form, uncached_key
 from .graph import (
     AGG_RESULT,
     AGGREGATION_LABELS,
@@ -212,30 +207,9 @@ def merge_substructures(probs: dict[StructureKey, float],
     substructures), ``duplicates`` those that gave a structure already
     seen this round, and the rest distinct structures.
     """
-    reps = {k: catalog.substructures[k].representative for k in catalog.frequent_keys}
-    patterns = {k: contained_frequent_keys(rep, catalog) for k, rep in reps.items()}
-    # smallest first: an absent small part rules out every larger
-    # substructure that contains it
-    embed_order = sorted(reps, key=StructureKey.sort_key)
+    reps = {k: e.representative for k, e in catalog.substructures.items()}
+    patterns = dict(catalog.containment)
     scores: dict[StructureKey, float] = {}
-
-    def score_candidate(key: StructureKey, rep: QueryGraph,
-                        known: frozenset[StructureKey]) -> None:
-        """Score ``key`` into ``scores``; ``known`` are frequent
-        substructures that ``rep`` is known to contain."""
-        found = set(known)
-        absent: set[StructureKey] = set()
-        for k in embed_order:
-            if k in found:
-                continue
-            # downward closure: k is absent if any frequent part of it is,
-            # and present brings every frequent part of it along
-            if not patterns[k] & absent and is_substructure(reps[k], rep):
-                found |= patterns[k]
-            else:
-                absent.add(k)
-        patterns[key] = frozenset(found)
-        scores[key] = score_containment(patterns[key], probs, catalog)
 
     def record_round(label, members, counts):
         if rounds_out is None:
@@ -276,7 +250,9 @@ def merge_substructures(probs: dict[StructureKey, float],
                         continue
                     seen.add(ckey)
                     if ckey not in scores:
-                        score_candidate(ckey, crep, patterns[skey] | patterns[mkey])
+                        patterns[ckey] = contained_frequent_keys(
+                            crep, catalog, ckey, patterns[skey] | patterns[mkey])
+                        scores[ckey] = score_containment(patterns[ckey], probs, catalog)
                     if scores[ckey] > cfg.theta:
                         merged[ckey] = crep
                     else:

@@ -4,8 +4,9 @@ From a corpus of (question, query) training pairs we collect the set of
 all query structures (one entry per equivalence class, with counts) and
 the set of substructures contained in more than ``gamma`` distinct
 training queries. Substructures are generated exhaustively from the
-non-empty, connected subsets of each query's triples; disconnected
-subsets are skipped.
+non-empty, connected subsets of each query's triples to tally them;
+disconnected subsets are skipped. Which frequent substructures a
+structure contains is decided by ``contained_frequent_keys`` alone.
 """
 
 from __future__ import annotations
@@ -76,21 +77,32 @@ class CatalogEntry:
 class SubstructureCatalog:
     """Mined structures (TS), frequent substructures (FS*) and containment.
 
-    ``containment[s]`` is the set of frequent-substructure keys contained
-    in structure ``s``; it is the sufficient statistic for scoring.
+    Both tables are kept smallest first. ``containment[s]`` is the set of
+    frequent-substructure keys contained in ``s``, for every mined
+    structure and every frequent substructure; it is the sufficient
+    statistic for scoring. The rows are derived with
+    ``contained_frequent_keys``, each from the rows of strictly smaller
+    frequent substructures.
     """
 
     gamma: int
     structures: dict[StructureKey, CatalogEntry] = field(default_factory=dict)
     substructures: dict[StructureKey, CatalogEntry] = field(default_factory=dict)
-    containment: dict[StructureKey, frozenset[StructureKey]] = field(default_factory=dict)
+    containment: dict[StructureKey, frozenset[StructureKey]] = field(init=False)
+
+    def __post_init__(self):
+        self.structures = {k: self.structures[k]
+                           for k in sorted(self.structures, key=StructureKey.sort_key)}
+        self.substructures = {k: self.substructures[k]
+                              for k in sorted(self.substructures, key=StructureKey.sort_key)}
+        self.containment = {}
+        for table in (self.substructures, self.structures):
+            for key, e in table.items():
+                self.containment[key] = contained_frequent_keys(e.representative, self, key)
 
     @property
     def frequent_keys(self) -> list[StructureKey]:
-        return sorted(self.substructures, key=StructureKey.sort_key)
-
-    def structure_entries(self) -> list[CatalogEntry]:
-        return [self.structures[k] for k in sorted(self.structures, key=StructureKey.sort_key)]
+        return list(self.substructures)
 
 
 def collect_structures(pairs) -> dict[StructureKey, CatalogEntry]:
@@ -175,21 +187,48 @@ def mine(pairs, gamma: int) -> SubstructureCatalog:
     structures = collect_structures(pairs)
     tally = tally_substructures(pairs)
     frequent = {k: e for k, e in tally.items() if e.count > gamma}
-    containment: dict[StructureKey, frozenset[StructureKey]] = {}
-    for key, entry in structures.items():
-        contained = set(enumerate_substructures(entry.representative))
-        containment[key] = frozenset(k for k in frequent if k in contained)
-    return SubstructureCatalog(gamma, structures, frequent, containment)
+    return SubstructureCatalog(gamma, structures, frequent)
 
 
-def contained_frequent_keys(g: QueryGraph, catalog: SubstructureCatalog) -> frozenset[StructureKey]:
-    """Frequent-substructure keys contained in ``g``: its mined
-    containment row, or else those that embed in ``g``."""
-    row = catalog.containment.get(canonical_key(g))
+def contained_frequent_keys(g: QueryGraph, catalog: SubstructureCatalog,
+                            key: StructureKey | None = None,
+                            known: frozenset[StructureKey] = frozenset()
+                            ) -> frozenset[StructureKey]:
+    """Frequent-substructure keys contained in ``g``, whose structure key
+    is ``key`` (default: ``canonical_key(g)``): its catalog row if it has
+    one, or else those that embed in ``g``.
+
+    ``known`` are frequent substructures that ``g`` is known to contain:
+    a merge contains every one that either input contains. Each other
+    frequent substructure is embedded into ``g`` (``is_substructure``),
+    smallest first, instead of enumerating and canonicalizing every
+    connected triple subset of ``g``. By downward closure, a substructure
+    with an absent frequent part is absent without a test, and a present
+    one brings its frequent parts along. An embedding of a substructure
+    as large as ``g`` covers all of ``g``, so at that size only ``g``'s
+    own structure can be contained.
+    """
+    if key is None:
+        key = canonical_key(g)
+    row = catalog.containment.get(key)
     if row is not None:
         return row
-    return frozenset(k for k, e in catalog.substructures.items()
-                     if is_substructure(e.representative, g))
+    size = g.triple_count
+    found = set(known)
+    absent: set[StructureKey] = set()
+    for k, entry in catalog.substructures.items():
+        if k.triple_count >= size:
+            break
+        if k in found:
+            continue
+        parts = catalog.containment[k]
+        if not parts & absent and is_substructure(entry.representative, g):
+            found |= parts
+        else:
+            absent.add(k)
+    if key in catalog.substructures:
+        found.add(key)
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -227,28 +266,17 @@ def key_from_json(doc: dict) -> StructureKey:
 
 
 def save_catalog(catalog: SubstructureCatalog, path) -> None:
-    subs = catalog.frequent_keys
-    sub_index = {k: i for i, k in enumerate(subs)}
-    doc = {
-        "version": CATALOG_VERSION,
-        "gamma": catalog.gamma,
-        "structures": [
-            {"key": key_to_json(e.key), "count": e.count,
-             "representative": graph_to_json(e.representative)}
-            for e in catalog.structure_entries()],
-        "substructures": [
-            {"key": key_to_json(catalog.substructures[k].key),
-             "count": catalog.substructures[k].count,
-             "representative": graph_to_json(catalog.substructures[k].representative)}
-            for k in subs],
-        "containment": {
-            e.key.canonical: sorted(sub_index[k] for k in catalog.containment[e.key])
-            for e in catalog.structure_entries()},
-    }
+    """Write the two tables; the containment rows are derived on load."""
+    doc = {"version": CATALOG_VERSION, "gamma": catalog.gamma}
+    for name in ("structures", "substructures"):
+        doc[name] = [{"key": key_to_json(e.key), "count": e.count,
+                      "representative": graph_to_json(e.representative)}
+                     for e in getattr(catalog, name).values()]
     write_json(path, doc)
 
 
 def load_catalog(path) -> SubstructureCatalog:
+    """Read a catalog file; a ``containment`` field of older files is ignored."""
     doc = read_json(path, CATALOG_VERSION)
     tables: dict[str, dict[StructureKey, CatalogEntry]] = {}
     for name in ("structures", "substructures"):
@@ -261,12 +289,7 @@ def load_catalog(path) -> SubstructureCatalog:
                         raise ValueError(f"duplicate key {key.canonical!r}")
                     table[key] = CatalogEntry(key, graph_from_json(item["representative"]),
                                               item["count"])
-    subs = list(tables["substructures"])
-    by_canonical = {k.canonical: k for k in tables["structures"]}
-    containment = {}
-    with located(path, "containment"):
-        for canon, indices in doc["containment"].items():
-            containment[by_canonical[canon]] = frozenset(subs[i] for i in indices)
     with located(path, "gamma"):
-        return SubstructureCatalog(doc["gamma"], tables["structures"],
-                                   tables["substructures"], containment)
+        gamma = doc["gamma"]
+    with located(path, "containment"):
+        return SubstructureCatalog(gamma, tables["structures"], tables["substructures"])

@@ -433,7 +433,7 @@ class StructureClassifier:
 
 def train_structure_classifier(pairs, catalog: SubstructureCatalog,
                                cfg: TrainConfig, dev_pairs=None) -> StructureClassifier:
-    keys = sorted(catalog.structures, key=StructureKey.sort_key)
+    keys = list(catalog.structures)
     index = {k: i for i, k in enumerate(keys)}
     (seqs, labels), (dev_seqs, dev_labels), vocab = _examples(
         pairs, dev_pairs, cfg, lambda query: index[canonical_key(query)])

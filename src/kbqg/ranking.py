@@ -75,20 +75,8 @@ def score_containment(contained: frozenset[StructureKey],
 
 def containment_pattern(g: QueryGraph, catalog: SubstructureCatalog,
                         key: StructureKey | None = None) -> frozenset[StructureKey]:
-    """Frequent substructures contained in ``g``; ``key``, when given, is
-    g's structure key, whose precomputed containment row is used if the
-    structure was mined."""
-    if key is not None:
-        row = catalog.containment.get(key)
-        if row is not None:
-            return row
-    return contained_frequent_keys(g, catalog)
-
-
-def score_structure(s: QueryGraph, probs: dict[StructureKey, float],
-                    catalog: SubstructureCatalog) -> float:
-    """Joint-probability score of one structure, in [0, 1]."""
-    return score_containment(containment_pattern(s, catalog), probs, catalog)
+    """Frequent substructures contained in ``g``; see ``contained_frequent_keys``."""
+    return contained_frequent_keys(g, catalog, key)
 
 
 def rank_existing(probs: dict[StructureKey, float],

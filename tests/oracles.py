@@ -100,6 +100,14 @@ def oracle_substructure_classes(g: QueryGraph) -> list[QueryGraph]:
     return reps
 
 
+def oracle_containment_pattern(g: QueryGraph, catalog) -> frozenset:
+    """Keys of the catalog's frequent substructures that are equivalent,
+    by the brute-force bijection oracle, to a connected triple subset of g."""
+    classes = oracle_substructure_classes(g)
+    return frozenset(k for k, e in catalog.substructures.items()
+                     if any(oracle_is_equivalent(e.representative, c) for c in classes))
+
+
 def oracle_is_substructure(a: QueryGraph, b: QueryGraph) -> bool:
     from kbqg.graph import induced_subgraph
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from kbqg import cli
 from kbqg.cli import main
 from kbqg.grounding import LinkingCandidate, save_candidates
@@ -77,6 +79,23 @@ def test_generate_dump_merged_rounds_from_a_stateless_generator(tmp_path, capsys
         assert set(ROUND_COUNTS) <= r.keys()
         others = sum(r[c] for c in ROUND_COUNTS if c != "generated")
         assert r["generated"] == others + len(r["members"])
+
+
+def test_generate_rank_wo_sub_ranks_with_a_structure_classifier(tmp_path, capsys,
+                                                                 monkeypatch):
+    def no_substructure_models(*args, **kwargs):
+        raise AssertionError("rank-wo-sub trains no substructure predictors")
+
+    monkeypatch.setattr(cli, "train", no_substructure_models)
+    main(["generate", "--setting", "rank-wo-sub", "--predictor", "bow", "--gamma", "2",
+          "who directed Jaws?"])
+    out = capsys.readouterr().out
+    assert "[existing]" in out
+    assert "    -> {:S_Spielberg}\n" in out
+    with pytest.raises(SystemExit):
+        main(["generate", "--setting", "rank-wo-sub", "--models", str(tmp_path),
+              "who directed Jaws?"])
+    assert "--models cannot be used with --setting rank-wo-sub" in capsys.readouterr().err
 
 
 def test_eval_oracle_single_fold(tmp_path, capsys):

@@ -64,11 +64,6 @@ MALFORMED = {
     "catalog-structures-not-a-list": (
         load_catalog, "catalog.json", json.dumps({"version": 1, "structures": 5}),
         "structures"),
-    "catalog-unknown-structure": (
-        load_catalog, "catalog.json",
-        json.dumps({"version": 1, "gamma": 2, "structures": [], "substructures": [],
-                    "containment": {"nope": [0]}}),
-        "containment"),
     "models-wrong-version": (load_manifest, "manifest.json", '{"models": []}', "version"),
     "models-entry-without-file": (
         load_manifest, "manifest.json",

@@ -1,9 +1,9 @@
 """Property tests for the exact shortcuts the merger takes.
 
-The merger checks restrictions before canonicalizing and tests
-containment by embedding frequent substructures instead of enumerating
-every triple subset. Each shortcut is checked here against the plain
-computation it replaces.
+The merger checks restrictions before canonicalizing, and
+``contained_frequent_keys`` tests containment by embedding frequent
+substructures instead of enumerating every triple subset. Each shortcut
+is checked here against the plain computation it replaces.
 """
 
 import random
@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from kbqg.canon import canonical_key, is_substructure
 from kbqg.merging import MergeConfig, merge_pair, merge_substructures, passes_restrictions
-from kbqg.mining import enumerate_substructures
+from kbqg.mining import TrainingPair, contained_frequent_keys, enumerate_substructures, mine
 
 from .graphgen import random_graph
-from .oracles import reference_merge_substructures
+from .oracles import oracle_containment_pattern, reference_merge_substructures
 from .test_merging import merge_fixture
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -34,6 +34,32 @@ def test_is_substructure_agrees_with_enumeration(seed_g, seed_h):
     # g's own parts are always found
     for key, rep in inside.items():
         assert canonical_key(rep) == key and is_substructure(rep, g)
+
+
+def random_catalog(seed: int):
+    """Every connected part of five random queries, each asked twice,
+    is frequent."""
+    rng = random.Random(seed)
+    graphs = [random_graph(rng, max_triples=4) for _ in range(5)]
+    return mine([TrainingPair(f"q{i}", g) for i, g in enumerate(graphs * 2)], 1)
+
+
+_RANDOM_CATALOGS = [random_catalog(seed) for seed in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_RANDOM_CATALOGS), seeds, seeds, seeds)
+def test_contained_frequent_keys_agrees_with_enumeration_oracle(catalog, seed_a, seed_b,
+                                                                 seed_known):
+    a = random_graph(random.Random(seed_a), max_triples=3)
+    b = random_graph(random.Random(seed_b), max_triples=3)
+    rng = random.Random(seed_known)
+    merges = list(merge_pair(a, b).values())
+    for g in [a] + rng.sample(merges, min(3, len(merges))):
+        expected = oracle_containment_pattern(g, catalog)
+        known = frozenset(k for k in expected if rng.random() < 0.5)
+        assert contained_frequent_keys(g, catalog, canonical_key(g), known) == expected
+        assert contained_frequent_keys(g, catalog) == expected
 
 
 @settings(max_examples=150, deadline=None)

@@ -20,6 +20,7 @@ from kbqg.mining import (
     tally_substructures,
 )
 from kbqg.sparql import parse_query
+from kbqg.toydata import build_dataset
 
 from .graphgen import random_graph
 from .oracles import oracle_is_equivalent, oracle_substructure_classes
@@ -181,6 +182,22 @@ def test_containment_flags_agree_with_is_substructure():
             assert (fkey in catalog.containment[skey]) == expected
 
 
+@pytest.mark.parametrize("source", ["fixture", "random"])
+def test_catalog_rows_equal_enumerated_rows(source):
+    if source == "fixture":
+        catalog = mine(build_dataset(), 2)
+    else:
+        rng = random.Random(7)
+        graphs = [random_graph(rng, max_triples=5) for _ in range(8)]
+        catalog = mine([TrainingPair(f"q{i}", g) for i, g in enumerate(graphs * 2)], 1)
+    for table in (catalog.structures, catalog.substructures):
+        for key, entry in table.items():
+            inside = enumerate_substructures(entry.representative)
+            assert catalog.containment[key] == frozenset(
+                k for k in catalog.substructures if k in inside)
+    assert len(catalog.containment) == len(catalog.structures.keys() | catalog.substructures)
+
+
 def test_contained_frequent_keys_for_unmined_query():
     pairs = [tp(f"q{i}", "SELECT ?x WHERE { ?x :p :E . ?x a :C }")
              for i in range(3)]
@@ -197,14 +214,23 @@ def test_catalog_json_roundtrip(tmp_path):
     catalog = mine(pairs, 1)
     path = tmp_path / "catalog.json"
     save_catalog(catalog, path)
+    assert "containment" not in json.loads(path.read_text())
     loaded = load_catalog(path)
     assert loaded.gamma == catalog.gamma
-    assert set(loaded.structures) == set(catalog.structures)
-    assert set(loaded.substructures) == set(catalog.substructures)
-    for key in catalog.structures:
-        assert loaded.containment[key] == catalog.containment[key]
-        assert is_equivalent(loaded.structures[key].representative,
-                             catalog.structures[key].representative)
+    assert list(loaded.structures) == list(catalog.structures)
+    assert list(loaded.substructures) == list(catalog.substructures)
+    # rows of the structures and of the frequent substructures
+    assert len(catalog.containment) > len(catalog.structures)
+    assert loaded.containment == catalog.containment
+    for name in ("structures", "substructures"):
+        for key, entry in getattr(catalog, name).items():
+            assert is_equivalent(getattr(loaded, name)[key].representative,
+                                 entry.representative)
+    # a file that still carries the derived rows loads the same
+    doc = json.loads(path.read_text())
+    doc["containment"] = {"stale": [0]}
+    path.write_text(json.dumps(doc))
+    assert load_catalog(path).containment == catalog.containment
 
 
 def test_graph_json_roundtrip():

@@ -166,8 +166,7 @@ def test_training_order_independence():
     # retraining a single substructure in isolation gives the same weights
     single = {k: catalog.substructures[k] for k in list(catalog.substructures)[:1]}
     from kbqg.mining import SubstructureCatalog
-    catalog_single = SubstructureCatalog(catalog.gamma, catalog.structures,
-                                         single, catalog.containment)
+    catalog_single = SubstructureCatalog(catalog.gamma, catalog.structures, single)
     models_single = train(pairs, catalog_single, cfg)
     key = next(iter(single))
     for name in models[key].params:
@@ -235,8 +234,7 @@ def test_stacked_models_equal_models_fitted_alone_under_early_stopping(monkeypat
         assert stack_sizes[0] == sum(isinstance(m, PredictorModel) for m in stacked.values())
         for key, model in stacked.items():
             single = SubstructureCatalog(catalog.gamma, catalog.structures,
-                                         {key: catalog.substructures[key]},
-                                         catalog.containment)
+                                         {key: catalog.substructures[key]})
             stack_sizes.clear()
             alone = train(train_pairs, single, cfg, dev_pairs)[key]
             assert type(alone) is type(model)

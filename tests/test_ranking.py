@@ -4,12 +4,11 @@ import random
 import pytest
 
 from kbqg.canon import canonical_key
-from kbqg.mining import TrainingPair, mine
+from kbqg.mining import TrainingPair, contained_frequent_keys, mine
 from kbqg.ranking import (
     MissingProbabilityError,
     rank_existing,
     score_containment,
-    score_structure,
 )
 from kbqg.sparql import parse_query
 
@@ -36,7 +35,7 @@ def test_direct_arithmetic_two_substructures():
     s = catalog.structures[a_key].representative  # contains A only
     probs = {a_key: 0.9, b_key: 0.2}
     probs.update({k: 0.0 for k in catalog.substructures if k not in probs})
-    score = score_structure(s, probs, catalog)
+    score = score_containment(contained_frequent_keys(s, catalog), probs, catalog)
     assert score == pytest.approx(0.9 * 0.8, abs=1e-12)
 
 
@@ -45,10 +44,12 @@ def test_ideal_condition_scores_exactly_one_and_zero():
     for key, entry in catalog.structures.items():
         pattern = catalog.containment[key]
         probs = {k: (1.0 if k in pattern else 0.0) for k in catalog.substructures}
-        assert score_structure(entry.representative, probs, catalog) == 1.0
+        contained = contained_frequent_keys(entry.representative, catalog)
+        assert score_containment(contained, probs, catalog) == 1.0
         for other, oentry in catalog.structures.items():
             if catalog.containment[other] != pattern:
-                assert score_structure(oentry.representative, probs, catalog) == 0.0
+                contained = contained_frequent_keys(oentry.representative, catalog)
+                assert score_containment(contained, probs, catalog) == 0.0
 
 
 def test_log_space_matches_direct_product_oracle():
@@ -71,7 +72,8 @@ def test_missing_probability_raises():
     catalog = two_fragment_catalog()
     entry = next(iter(catalog.structures.values()))
     with pytest.raises(MissingProbabilityError):
-        score_structure(entry.representative, {}, catalog)
+        score_containment(contained_frequent_keys(entry.representative, catalog), {},
+                          catalog)
 
 
 def test_rank_existing_sorting_and_tiebreaks():
@@ -99,8 +101,9 @@ def test_identical_patterns_score_identically():
     assert catalog.containment[k_w0] == catalog.containment[k_w1]
     rng = random.Random(3)
     probs = {k: rng.uniform(0.05, 0.95) for k in catalog.substructures}
-    s0 = score_structure(catalog.structures[k_w0].representative, probs, catalog)
-    s1 = score_structure(catalog.structures[k_w1].representative, probs, catalog)
+    reps = [catalog.structures[k].representative for k in (k_w0, k_w1)]
+    s0, s1 = (score_containment(contained_frequent_keys(r, catalog), probs, catalog)
+              for r in reps)
     assert s0 == s1
 
 
@@ -114,7 +117,9 @@ def test_monotone_in_contained_probability():
     lo[a_key] = 0.3
     hi = dict(others)
     hi[a_key] = 0.9
-    assert score_structure(rep, hi, catalog) >= score_structure(rep, lo, catalog)
+    contained = contained_frequent_keys(rep, catalog)
+    assert (score_containment(contained, hi, catalog)
+            >= score_containment(contained, lo, catalog))
 
 
 def test_ranking_is_iteration_order_independent():
@@ -128,8 +133,7 @@ def test_ranking_is_iteration_order_independent():
     rev = mining.SubstructureCatalog(
         catalog.gamma,
         dict(reversed(list(catalog.structures.items()))),
-        dict(reversed(list(catalog.substructures.items()))),
-        catalog.containment)
+        dict(reversed(list(catalog.substructures.items()))))
     second = [s.key for s in rank_existing(probs, rev)]
     assert first == second
 
@@ -158,6 +162,6 @@ def test_clamping_keeps_interior_probabilities_positive():
     # a wrongly-confident near-zero probability must not zero the score
     probs = {k: 1e-12 for k in catalog.substructures}
     probs[a_key] = 1e-12
-    score = score_structure(rep, probs, catalog)
+    score = score_containment(contained_frequent_keys(rep, catalog), probs, catalog)
     assert score > 0.0
     assert math.isfinite(score)
