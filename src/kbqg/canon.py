@@ -18,15 +18,38 @@ lexicographically least serialization over all refinement leaves. Queries
 here are tiny (a handful of triples), so the worst-case backtracking is
 cheap, and agreement with the bijection definition is oracle-checked in
 the test suite.
+
+The search runs on an integer coding of the graph (``CodedGraph``).
+``compile_graph`` numbers the atoms in their sorted (tag, name) order:
+user labels, then vertices. (A merge union, which is only keyed, is
+numbered otherwise; atom order decides only which of several equal
+least leaves is found first, so it cannot change a key.) Colours are
+dense ranks, and a triple is
+``(subject, label atom, built-in code, object)``. A refinement
+signature is the atom's colour and the sorted tuple of one integer per
+incident triple: the mixed-radix number of (role, label code, other
+colour), with the roles label < object < subject and the built-ins, in
+name order, coded below every user label's colour. These integers sort
+exactly as the nested tuples of those fields, so every refinement
+ranks the atoms as the tuple signatures would. Individualizing an atom
+keeps its colour and moves the rest of its cell and every higher colour
+up by one, which is the ranking of (colour, 0 for the atom and 1
+otherwise). The search therefore visits the same leaves in the same
+order and reaches the same least string: the keys, the best leaf's
+colours and the representatives (target included) are those of the
+tuple form, which the test suite keeps as a reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graph import (
     AGG_RESULT,
+    AGGREGATION_LABELS,
+    BUILTIN_LABELS,
     CLASS,
     ENTITY,
     LITERAL,
@@ -184,106 +207,152 @@ def is_substructure(a: QueryGraph, b: QueryGraph) -> bool:
 # ---------------------------------------------------------------------------
 # canonical form
 
-_V = "v"  # vertex atom tag
-_P = "p"  # user-label atom tag
+#: built-in labels in name order; a built-in's code is its index here, and
+#: a user label's code is its colour plus ``_NB``, so built-ins sort first
+_BUILTINS = tuple(sorted(BUILTIN_LABELS))
+_NB = len(_BUILTINS)
+_BUILTIN_CODE = {name: i for i, name in enumerate(_BUILTINS)}
+#: codes of the labels counted against the merger's aggregation cap
+AGGREGATION_CODES = frozenset(_BUILTIN_CODE[name] for name in AGGREGATION_LABELS)
 
 
-def _initial_colors(g: QueryGraph) -> dict[tuple, tuple]:
-    colors: dict[tuple, tuple] = {}
+class CodedGraph(NamedTuple):
+    """A graph compiled for canonicalization. Its atoms (vertices and
+    user labels) are numbered, and atom ``i`` has:
+
+    - ``colors[i]``, its initial colour: below the atom count, and
+      ordered as ``initial_colors`` orders the atoms.
+    - ``parts[i]``, its part of a leaf string (kind initial and offset
+      value, such as ``"v"`` or ``"l3"``), or None for a label.
+
+    Each triple is ``(s, p, code, o)``: subject and object atoms, the
+    label atom or -1, and the built-in code or -1. ``nv`` counts the
+    vertex atoms.
+    """
+
+    colors: list[int]
+    parts: list[str | None]
+    triples: list[tuple[int, int, int, int]]
+    nv: int
+
+
+def initial_colors(parts) -> list[int]:
+    """Initial colour of each atom, from its leaf part: vertices by kind
+    and offset value, then every label in one colour."""
+    keys = [(1, "") if part is None else (0, part) for part in parts]
+    index = {k: i for i, k in enumerate(sorted(set(keys)))}
+    return [index[k] for k in keys]
+
+
+def compile_graph(g: QueryGraph) -> CodedGraph:
+    """``g``'s coded form. Its atoms are ``g.user_labels`` and then
+    ``g.vertices``, in order: the sorted (tag, name) order of the atoms."""
+    labels = {name: i for i, name in enumerate(g.user_labels)}
+    nl = len(labels)
+    vindex = {v.id: nl + i for i, v in enumerate(g.vertices)}
     ov = g.order_values
-    for v in g.vertices:
-        colors[(_V, v.id)] = (0, v.kind, ov.get(v.id, ""))
-    for name in g.user_labels:
-        colors[(_P, name)] = (1,)
-    return colors
+    parts = [None] * nl + [f"{v.kind[0]}{ov.get(v.id, '')}" for v in g.vertices]
+    triples = [(vindex[t.subject], -1, _BUILTIN_CODE[t.label.builtin], vindex[t.object])
+               if t.label.is_builtin else
+               (vindex[t.subject], labels[t.label.name], -1, vindex[t.object])
+               for t in g.triples]
+    return CodedGraph(initial_colors(parts), parts, triples, len(g.vertices))
 
 
-def _rank(colors: dict) -> dict[tuple, int]:
-    distinct = sorted(set(colors.values()))
-    index = {c: i for i, c in enumerate(distinct)}
-    return {atom: index[c] for atom, c in colors.items()}
+def _refine(builtins, users, r: int, colors: list[int]) -> tuple[list[int], int]:
+    """Colour refinement to a stable partition; returns the colours and
+    their number.
 
-
-def _refine(g: QueryGraph, colors: dict[tuple, int]) -> dict[tuple, int]:
+    An atom's signature is its colour and the sorted codes of its
+    triples: ``(tag, x, y)`` in radix ``r``, with tag 0 for a label
+    (x, y the end colours), 1 for an object and 2 for a subject (x the
+    label code, y the other end's colour). Colours are below the atom
+    count and label codes below ``r``, so the codes sort like the
+    tuples they stand for. ``builtins`` holds ``(s, o, subject code,
+    object code)`` of each built-in triple without its end colours, and
+    ``users`` holds ``(s, p, o)`` of each user triple.
+    """
     n = len(colors)
+    r2 = r * r
+    subject_tag = 2 * r2
+    k_prev = n
     while True:
-        contribs: dict[tuple, list] = {atom: [] for atom in colors}
-        for t in g.triples:
-            s, o = (_V, t.subject), (_V, t.object)
-            if t.label.is_builtin:
-                lc: tuple = (-1, t.label.builtin)
-            else:
-                p = (_P, t.label.name)
-                lc = (colors[p],)
-                contribs[p].append(("l", colors[s], colors[o]))
-            contribs[s].append(("s", lc, colors[o]))
-            contribs[o].append(("o", lc, colors[s]))
-        sigs = {atom: (colors[atom], tuple(sorted(contribs[atom]))) for atom in colors}
-        colors = _rank(sigs)
-        k = len(set(colors.values()))
-        if k == n or k == len(colors):
-            return colors
-        n = k
+        contribs: list[list[int]] = [[] for _ in range(n)]
+        for s, o, s_base, o_base in builtins:
+            contribs[s].append(s_base + colors[o])
+            contribs[o].append(o_base + colors[s])
+        for s, p, o in users:
+            cs, co = colors[s], colors[o]
+            lc = (_NB + colors[p]) * r
+            contribs[p].append(cs * r + co)
+            contribs[s].append(subject_tag + lc + co)
+            contribs[o].append(r2 + lc + cs)
+        sigs = [(c, tuple(sorted(x))) for c, x in zip(colors, contribs)]
+        distinct = sorted(set(sigs))
+        index = {sig: i for i, sig in enumerate(distinct)}
+        colors = [index[sig] for sig in sigs]
+        k = len(distinct)
+        if k == k_prev or k == n:
+            return colors, k
+        k_prev = k
 
 
-def _cells(colors: dict[tuple, int]) -> list[list[tuple]]:
-    groups: dict[int, list[tuple]] = {}
-    for atom, c in colors.items():
-        groups.setdefault(c, []).append(atom)
-    return [sorted(groups[c]) for c in sorted(groups)]
+def _leaf_string(coded: CodedGraph, colors: list[int]) -> str:
+    """The serialization under a discrete colouring. Vertices take the
+    colours below ``nv`` and labels the rest, so a vertex's colour is its
+    position and a label's is ``nv`` plus its index."""
+    order = [0] * len(colors)
+    for atom, c in enumerate(colors):
+        order[c] = atom
+    parts, nv = coded.parts, coded.nv
+    tparts = sorted([
+        f"{colors[s]} {_BUILTINS[code] if p < 0 else f'p{colors[p] - nv}'} {colors[o]}"
+        for s, p, code, o in coded.triples])
+    return "|".join([parts[order[c]] for c in range(nv)]) + "//" + ";".join(tparts)
 
 
-def _leaf_string(g: QueryGraph, colors: dict[tuple, int]) -> str:
-    order = sorted(colors, key=lambda atom: colors[atom])
-    v_index: dict[str, int] = {}
-    p_index: dict[str, int] = {}
-    vparts = []
-    ov = g.order_values
-    for atom in order:
-        tag, name = atom
-        if tag == _V:
-            v_index[name] = len(v_index)
-            vert = g.vertex_by_id[name]
-            vparts.append(f"{vert.kind[0]}{ov.get(name, '')}")
-        else:
-            p_index[name] = len(p_index)
-    tparts = []
-    for t in g.triples:
-        lab = t.label.builtin if t.label.is_builtin else f"p{p_index[t.label.name]}"
-        tparts.append(f"{v_index[t.subject]} {lab} {v_index[t.object]}")
-    return "|".join(vparts) + "//" + ";".join(sorted(tparts))
+def _canonicalize(coded: CodedGraph) -> tuple[StructureKey, list[int]]:
+    """The key, and the colouring of the first leaf that gives it: refine,
+    then individualize each atom of the first non-singleton cell in atom
+    order and search depth first, keeping the least leaf string."""
+    n = len(coded.colors)
+    r = n + _NB
+    builtins = [(s, o, 2 * r * r + code * r, r * r + code * r)
+                for s, p, code, o in coded.triples if p < 0]
+    users = [(s, p, o) for s, p, _code, o in coded.triples if p >= 0]
+    limit = MAX_LEAVES
+    best: str | None = None
+    best_colors: list[int] = []
+    leaves = 0
+    stack = [coded.colors]
+    while stack:
+        colors, k = _refine(builtins, users, r, stack.pop())
+        if k == n:
+            leaves += 1
+            if leaves > limit:
+                raise CanonicalizationError("canonical search exceeded leaf budget")
+            s = _leaf_string(coded, colors)
+            if best is None or s < best:
+                best, best_colors = s, colors
+            continue
+        ordered = sorted(colors)
+        cell = next(ordered[i] for i in range(n - 1) if ordered[i] == ordered[i + 1])
+        # the chosen atom keeps the cell's colour; the cell's others and
+        # every later colour move up by one
+        shifted = [c + (c >= cell) for c in colors]
+        for atom in reversed(range(n)):   # popped in atom order
+            if colors[atom] == cell:
+                branched = list(shifted)
+                branched[atom] = cell
+                stack.append(branched)
+    aggs = sum(1 for t in coded.triples if t[2] in AGGREGATION_CODES)
+    return StructureKey(best, len(coded.triples), aggs), best_colors
 
 
-def _search(g: QueryGraph, colors: dict[tuple, int], state: dict) -> None:
-    colors = _refine(g, colors)
-    cells = _cells(colors)
-    target_cell = next((c for c in cells if len(c) > 1), None)
-    if target_cell is None:
-        state["leaves"] += 1
-        if state["leaves"] > MAX_LEAVES:
-            raise CanonicalizationError("canonical search exceeded leaf budget")
-        s = _leaf_string(g, colors)
-        if state["best"] is None or s < state["best"]:
-            state["best"] = s
-            state["best_colors"] = colors
-        return
-    for atom in target_cell:
-        branched = {a: (c, 1) for a, c in colors.items()}
-        branched[atom] = (colors[atom], 0)
-        _search(g, _rank(branched), state)
-
-
-def _canonicalize(g: QueryGraph) -> tuple[StructureKey, dict[tuple, int]]:
-    state = {"best": None, "best_colors": None, "leaves": 0}
-    _search(g, _rank(_initial_colors(g)), state)
-    key = StructureKey(state["best"], g.triple_count, g.aggregation_count)
-    return key, state["best_colors"]
-
-
-def uncached_key(g: QueryGraph) -> StructureKey:
-    """``canonical_key`` without the cache and without building a
-    representative: for graphs canonicalized once, such as merge unions."""
-    return _canonicalize(g)[0]
+def coded_key(coded: CodedGraph) -> StructureKey:
+    """The canonical key of a coded graph, such as a merge union that is
+    keyed once and never built as a ``QueryGraph``."""
+    return _canonicalize(coded)[0]
 
 
 @lru_cache(maxsize=8192)
@@ -295,31 +364,33 @@ def canonical_form(g: QueryGraph) -> tuple[StructureKey, QueryGraph]:
     placeholders (Ent1, Class1, Lit1, ...) except MAXATN/MINATN offsets,
     which keep their value; user-defined labels become Prop1, Prop2, ...
     """
-    key, colors = _canonicalize(g)
-
-    order = sorted(colors, key=lambda atom: colors[atom])
+    key, colors = _canonicalize(compile_graph(g))
+    labels = g.user_labels
+    nl = len(labels)
+    order = [0] * len(colors)
+    for atom, c in enumerate(colors):
+        order[c] = atom
     ov = g.order_values
     rename: dict[str, str] = {}
     label_rename: dict[str, str] = {}
     new_verts = []
     counters = {ENTITY: 0, CLASS: 0, LITERAL: 0, "var": 0}
     for atom in order:
-        tag, name = atom
-        if tag == _P:
-            label_rename[name] = f"Prop{len(label_rename) + 1}"
+        if atom < nl:
+            label_rename[labels[atom]] = f"Prop{len(label_rename) + 1}"
             continue
-        vert = g.vertex_by_id[name]
+        vert = g.vertices[atom - nl]
         if vert.kind in (ENTITY, CLASS, LITERAL):
             counters[vert.kind] += 1
             prefix = {ENTITY: "Ent", CLASS: "Class", LITERAL: "Lit"}[vert.kind]
-            surface = ov.get(name) or f"{prefix}{counters[vert.kind]}"
+            surface = ov.get(vert.id) or f"{prefix}{counters[vert.kind]}"
             new_id = f"{prefix}{counters[vert.kind]}"
             new_verts.append(Vertex(new_id, vert.kind, surface))
         else:
             counters["var"] += 1
             new_id = f"?v{counters['var']}"
             new_verts.append(Vertex(new_id, vert.kind))
-        rename[name] = new_id
+        rename[vert.id] = new_id
     new_triples = []
     for t in g.triples:
         lab = t.label if t.label.is_builtin else user(label_rename[t.label.name])
@@ -330,6 +401,5 @@ def canonical_form(g: QueryGraph) -> tuple[StructureKey, QueryGraph]:
 
 
 def canonical_key(g: QueryGraph) -> StructureKey:
-    """The canonical key, through the ``canonical_form`` cache; see
-    ``uncached_key`` for graphs seen only once."""
+    """The canonical key, through the ``canonical_form`` cache."""
     return canonical_form(g)[0]

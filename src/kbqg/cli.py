@@ -152,8 +152,10 @@ def cmd_generate(args):
         write_json(args.dump_merged, rounds)
     print(f"question: {args.question}")
     print(f"tokens:   {' '.join(trace.tokens)}")
-    print("\ntop substructure probabilities:")
-    for key, p in trace.top_probabilities(4):
+    top = trace.top_probabilities(4)
+    if top:
+        print("\ntop substructure probabilities:")
+    for key, p in top:
         print(f"  {p:.3f}  {catalog.substructures[key].representative}")
     print("\nranked structures:")
     for s in trace.ranked[:5]:

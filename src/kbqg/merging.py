@@ -17,13 +17,18 @@ output:
   aggregation cap delta do not change under renaming, so ``merge_pair``
   checks them on the raw union and canonicalizes only the survivors. A
   union with no unified vertex is always disconnected and is never
-  built, one that unifies a vertex of two connected inputs is always
-  connected and is not checked, and a vertex unification that cannot
-  bring the union down to tau triples is skipped before any label
-  unification is tried.
-* Keys before representatives. ``merge_pair`` canonicalizes a union
-  for its key only and keeps the first union found per key; the
-  canonical representative is built only for the candidates that
+  considered, one that unifies a vertex of two connected inputs is
+  always connected and is not checked, and a vertex unification that
+  cannot bring the union down to tau triples is skipped before any
+  label unification is tried.
+* Keys before graphs. ``merge_pair`` compiles its two inputs once
+  (``canon.compile_graph``), assembles each union's integer triples
+  from their index maps, checks the restrictions on them and keys the
+  union on that coded form. It keeps the first union found per key,
+  and builds it as a ``QueryGraph`` only when the key is looked up.
+  ``merge_substructures`` looks up only keys that are new to the
+  question, whose containment pattern it needs, and keeps that graph.
+  The canonical representative is built only for the candidates that
   survive theta and the beam and enter the next round and the result.
 * Known parts. A merge contains every frequent substructure that either
   input contains, so ``contained_frequent_keys`` is given those and
@@ -34,14 +39,21 @@ output:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 
-from .canon import StructureKey, canonical_form, uncached_key
+from .canon import (
+    AGGREGATION_CODES,
+    CodedGraph,
+    StructureKey,
+    canonical_form,
+    coded_key,
+    compile_graph,
+    initial_colors,
+)
 from .graph import (
     AGG_RESULT,
-    AGGREGATION_LABELS,
-    GraphError,
     QueryGraph,
     Triple,
     Vertex,
@@ -75,15 +87,23 @@ def passes_restrictions(g: QueryGraph, cfg: MergeConfig) -> bool:
             and g.aggregation_count <= cfg.delta)
 
 
-def _rename_apart(b: QueryGraph) -> QueryGraph:
-    """Prefix b's vertex ids and user label names so they are disjoint
-    from any other structure's."""
-    verts = [Vertex("b#" + v.id, v.kind, v.surface) for v in b.vertices]
+def _apart_prefix(a: QueryGraph) -> str:
+    """``b#``, or with more ``#`` if a name of ``a`` starts with it: a
+    prefix that keeps the other input's names disjoint from a's."""
+    prefix = "b#"
+    while any(name.startswith(prefix) for name in (*a.vertex_by_id, *a.user_labels)):
+        prefix += "#"
+    return prefix
+
+
+def _rename_apart(b: QueryGraph, prefix: str) -> QueryGraph:
+    """b with its vertex ids and user label names prefixed."""
+    verts = [Vertex(prefix + v.id, v.kind, v.surface) for v in b.vertices]
     triples = []
     for t in b.triples:
-        label = t.label if t.label.is_builtin else user("b#" + t.label.name)
-        triples.append(Triple("b#" + t.subject, label, "b#" + t.object))
-    return build_graph(verts, triples, "b#" + b.target if b.target else None)
+        label = t.label if t.label.is_builtin else user(prefix + t.label.name)
+        triples.append(Triple(prefix + t.subject, label, prefix + t.object))
+    return build_graph(verts, triples, prefix + b.target if b.target else None)
 
 
 def _unifiable(a: QueryGraph, va: Vertex, b: QueryGraph, vb: Vertex) -> bool:
@@ -98,13 +118,12 @@ def _injective(pairs) -> bool:
             and len({p[1] for p in pairs}) == len(pairs))
 
 
-def _unite(a: QueryGraph, b: QueryGraph, vmap: dict[str, str], lmap: dict[str, str],
-           restrict: MergeConfig | None, connected: bool) -> QueryGraph | None:
-    """The union of a and a renamed-apart b with b's vertices ``vmap``
-    and user labels ``lmap`` identified with a's; None if it is not a
-    valid graph or, given ``restrict``, fails the restrictions. With
-    ``connected`` (both inputs are connected) a union that unifies a
-    vertex is connected without a check."""
+def _unite(a: QueryGraph, b: QueryGraph, vmap: dict[str, str],
+           lmap: dict[str, str]) -> QueryGraph:
+    """The union of a and the renamed-apart b with b's vertices ``vmap``
+    and user labels ``lmap`` identified with a's. Unified vertices share
+    a kind that is never an aggregation result, so every vertex keeps
+    its kind and the union is a valid graph."""
     triples = set(a.triples)
     for t in b.triples:
         label = t.label
@@ -112,73 +131,147 @@ def _unite(a: QueryGraph, b: QueryGraph, vmap: dict[str, str], lmap: dict[str, s
             label = user(lmap[label.name])
         triples.add(Triple(vmap.get(t.subject, t.subject), label,
                            vmap.get(t.object, t.object)))
-    if restrict is not None and (
-            len(triples) > restrict.tau
-            or sum(1 for t in triples if t.label.is_builtin
-                   and t.label.builtin in AGGREGATION_LABELS) > restrict.delta):
-        return None
     verts = list(a.vertices) + [v for v in b.vertices if v.id not in vmap]
-    try:
-        merged = build_graph(verts, triples, None)
-    except GraphError:
-        return None
-    if restrict is not None and not (connected and vmap) and not merged.is_connected():
-        return None
-    return merged
+    return build_graph(verts, triples, None)
+
+
+def _connected(ends) -> bool:
+    """Whether triples, given by their (subject, object) atoms, are
+    connected through shared vertices."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for s, o in ends:
+        parent[find(s)] = find(o)
+    return len({find(x) for x in parent}) == 1
+
+
+class _Unions(Mapping):
+    """``merge_pair``'s result. It holds, per key, the maps of the first
+    union found with it, and builds that union with ``_unite`` when the
+    key is looked up."""
+
+    def __init__(self, a: QueryGraph, b: QueryGraph, prefix: str,
+                 found: dict[StructureKey, tuple[dict, dict]]):
+        self._a, self._b, self._prefix, self._found = a, b, prefix, found
+        self._renamed: QueryGraph | None = None
+
+    def __getitem__(self, key: StructureKey) -> QueryGraph:
+        vmap, lmap = self._found[key]
+        if self._renamed is None:
+            self._renamed = _rename_apart(self._b, self._prefix)
+        return _unite(self._a, self._renamed, vmap, lmap)
+
+    def __contains__(self, key) -> bool:
+        return key in self._found
+
+    def __iter__(self):
+        return iter(self._found)
+
+    def __len__(self) -> int:
+        return len(self._found)
 
 
 def merge_pair(a: QueryGraph, b: QueryGraph,
                max_shared_vertices: int = 2,
                max_shared_labels: int = 1,
                restrict: MergeConfig | None = None,
-               counts: Counter | None = None) -> dict[StructureKey, QueryGraph]:
+               counts: Counter | None = None) -> Mapping[StructureKey, QueryGraph]:
     """All structures obtainable by unifying up to ``max_shared_vertices``
     vertex pairs and ``max_shared_labels`` user-label pairs of the disjoint
     union of a and b, deduplicated by canonical key: each key maps to the
     first union found with it, as built (not the canonical representative,
-    which ``canonical_form`` gives).
+    which ``canonical_form`` gives). b's names are prefixed with ``b#``
+    (with more ``#`` if a name of a already starts with ``b#``).
+
+    Every union is checked and keyed in coded form (``canon.CodedGraph``)
+    and built as a graph only when its key is looked up, so a caller
+    that reads only the keys builds none.
 
     Without ``restrict`` the bare disjoint union is included. With it,
     only results that pass ``passes_restrictions(., restrict)`` are
     returned, and the others are rejected before canonicalization.
     ``counts``, when given, has ``generated`` increased by the number of
-    unifications considered and ``failed_restrictions`` by those rejected
-    unbuilt or uncanonicalized (restrictions, or not a valid graph).
+    unifications considered and ``failed_restrictions`` by those rejected.
     """
-    b = _rename_apart(b)
-    vertex_pairs = [(va.id, vb.id) for va in a.vertices for vb in b.vertices
+    ca, cb = compile_graph(a), compile_graph(b)
+    na = len(ca.colors)
+    # a's and b's initial colours on one scale; a union has the atoms of
+    # both but the unified b atoms, whose colours equal their partners'
+    colors = initial_colors(ca.parts + cb.parts)
+    a_colors, b_colors = colors[:na], colors[na:]
+    # compiled atoms are the user labels, then the vertices
+    la, lb = len(a.user_labels), len(b.user_labels)
+    prefix = _apart_prefix(a)
+    vertex_pairs = [(la + i, lb + j, va.id, prefix + vb.id)
+                    for i, va in enumerate(a.vertices) for j, vb in enumerate(b.vertices)
                     if _unifiable(a, va, b, vb)]
-    label_pairs = [(la, lb) for la in a.user_labels for lb in b.user_labels]
-    label_maps = [{lb: la for la, lb in combo}
+    label_pairs = [(i, j, name_a, prefix + name_b)
+                   for i, name_a in enumerate(a.user_labels)
+                   for j, name_b in enumerate(b.user_labels)]
+    label_maps = [(combo, {pb: pa for _i, _j, pa, pb in combo})
                   for l in range(max_shared_labels + 1)
                   for combo in combinations(label_pairs, l) if _injective(combo)]
-    union_size = len(a.triples) + len(b.triples)
+    a_triples = set(ca.triples)
+    b_builtins = [(s, code, o) for s, p, code, o in cb.triples if p < 0]
+    b_users = [(s, p, o) for s, p, _code, o in cb.triples if p >= 0]
+    union_size = len(ca.triples) + len(cb.triples)
     connected = a.is_connected() and b.is_connected()
 
-    out: dict[StructureKey, QueryGraph] = {}
+    found: dict[StructureKey, tuple[dict, dict]] = {}
     generated = failed = 0
     for k in range(max_shared_vertices + 1):
         for combo in combinations(vertex_pairs, k):
             if not _injective(combo):
                 continue
             generated += len(label_maps)
-            vmap = {vb: va for va, vb in combo}
+            index = {j: i for i, j, _va, _vb in combo}
             if restrict is not None:
                 # only a b-triple with both ends unified can coincide with
                 # an a-triple, so this is a lower bound on the result size
-                shared = sum(1 for t in b.triples if t.subject in vmap and t.object in vmap)
+                shared = sum(1 for s, _p, _c, o in cb.triples if s in index and o in index)
                 if k == 0 or union_size - shared > restrict.tau:
                     failed += len(label_maps)
                     continue
-            for lmap in label_maps:
-                merged = _unite(a, b, vmap, lmap, restrict, connected)
-                if merged is None:
+            # the union's atoms: a's, b's other vertices, b's other labels;
+            # the vertices and the built-in triples do not depend on the labels
+            vertex_colors, vertex_parts = list(a_colors), list(ca.parts)
+            for j in range(lb, len(cb.colors)):
+                if j not in index:
+                    index[j] = len(vertex_parts)
+                    vertex_colors.append(b_colors[j])
+                    vertex_parts.append(cb.parts[j])
+            fixed = a_triples | {(index[s], -1, code, index[o]) for s, code, o in b_builtins}
+            if restrict is not None and (
+                    sum(1 for t in fixed if t[2] in AGGREGATION_CODES) > restrict.delta
+                    or not (connected or _connected(
+                        [(t[0], t[3]) for t in fixed]
+                        + [(index[s], index[o]) for s, _p, o in b_users]))):
+                failed += len(label_maps)
+                continue
+            vmap = {vb: va for _i, _j, va, vb in combo}
+            nv = ca.nv + cb.nv - k
+            for lcombo, lmap in label_maps:
+                lindex = {j: i for i, j, _pa, _pb in lcombo}
+                union_colors, parts = list(vertex_colors), list(vertex_parts)
+                for j in range(lb):
+                    if j not in lindex:
+                        lindex[j] = len(parts)
+                        union_colors.append(b_colors[j])
+                        parts.append(None)
+                triples = fixed | {(index[s], lindex[p], -1, index[o]) for s, p, o in b_users}
+                if restrict is not None and len(triples) > restrict.tau:
                     failed += 1
                     continue
-                out.setdefault(uncached_key(merged), merged)
+                key = coded_key(CodedGraph(union_colors, parts, list(triples), nv))
+                found.setdefault(key, (vmap, lmap))
     if counts is not None:
         counts.update(generated=generated, failed_restrictions=failed)
-    return out
+    return _Unions(a, b, prefix, found)
 
 
 ROUND_COUNTS = ("generated", "failed_restrictions", "duplicates", "below_theta",
@@ -210,6 +303,8 @@ def merge_substructures(probs: dict[StructureKey, float],
     reps = {k: e.representative for k, e in catalog.substructures.items()}
     patterns = dict(catalog.containment)
     scores: dict[StructureKey, float] = {}
+    # one graph per scored key: a representative, or the first union built
+    graphs: dict[StructureKey, QueryGraph] = dict(reps)
 
     def record_round(label, members, counts):
         if rounds_out is None:
@@ -245,16 +340,17 @@ def merge_substructures(probs: dict[StructureKey, float],
             for mkey in sorted(current, key=StructureKey.sort_key):
                 candidates = merge_pair(reps[skey], current[mkey],
                                         restrict=cfg, counts=counts)
-                for ckey, crep in candidates.items():
+                for ckey in candidates:
                     if ckey in seen:
                         continue
                     seen.add(ckey)
                     if ckey not in scores:
+                        graphs[ckey] = candidates[ckey]
                         patterns[ckey] = contained_frequent_keys(
-                            crep, catalog, ckey, patterns[skey] | patterns[mkey])
+                            graphs[ckey], catalog, ckey, patterns[skey] | patterns[mkey])
                         scores[ckey] = score_containment(patterns[ckey], probs, catalog)
                     if scores[ckey] > cfg.theta:
-                        merged[ckey] = crep
+                        merged[ckey] = graphs[ckey]
                     else:
                         counts["below_theta"] += 1
         counts["duplicates"] = counts["generated"] - counts["failed_restrictions"] - len(seen)

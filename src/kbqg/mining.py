@@ -276,7 +276,8 @@ def save_catalog(catalog: SubstructureCatalog, path) -> None:
 
 
 def load_catalog(path) -> SubstructureCatalog:
-    """Read a catalog file; a ``containment`` field of older files is ignored."""
+    """Read a catalog file; a ``containment`` field of older files is
+    ignored. Each key must be its representative's canonical key."""
     doc = read_json(path, CATALOG_VERSION)
     tables: dict[str, dict[StructureKey, CatalogEntry]] = {}
     for name in ("structures", "substructures"):
@@ -287,8 +288,11 @@ def load_catalog(path) -> SubstructureCatalog:
                     key = key_from_json(item["key"])
                     if key in table:
                         raise ValueError(f"duplicate key {key.canonical!r}")
-                    table[key] = CatalogEntry(key, graph_from_json(item["representative"]),
-                                              item["count"])
+                    rep = graph_from_json(item["representative"])
+                    if canonical_key(rep) != key:
+                        raise ValueError(f"key {key.canonical!r} is not the key of "
+                                         "its representative")
+                    table[key] = CatalogEntry(key, rep, item["count"])
     with located(path, "gamma"):
         gamma = doc["gamma"]
     with located(path, "containment"):

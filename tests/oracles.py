@@ -334,3 +334,170 @@ def reference_merge_substructures(probs, catalog, cfg) -> list[tuple[str, float]
             break
     ranked = sorted(result, key=lambda k: (-scores[k], k.triple_count, k.canonical))
     return [(k.canonical, scores[k]) for k in ranked]
+
+
+# ---------------------------------------------------------------------------
+# canonical-form reference (colour refinement on dicts of tuple colours)
+
+_V = "v"  # vertex atom tag
+_P = "p"  # user-label atom tag
+
+
+def _ref_initial_colors(g: QueryGraph) -> dict[tuple, tuple]:
+    colors: dict[tuple, tuple] = {}
+    ov = g.order_values
+    for v in g.vertices:
+        colors[(_V, v.id)] = (0, v.kind, ov.get(v.id, ""))
+    for name in g.user_labels:
+        colors[(_P, name)] = (1,)
+    return colors
+
+
+def _ref_rank(colors: dict) -> dict[tuple, int]:
+    distinct = sorted(set(colors.values()))
+    index = {c: i for i, c in enumerate(distinct)}
+    return {atom: index[c] for atom, c in colors.items()}
+
+
+def _ref_refine(g: QueryGraph, colors: dict[tuple, int]) -> dict[tuple, int]:
+    n = len(colors)
+    while True:
+        contribs: dict[tuple, list] = {atom: [] for atom in colors}
+        for t in g.triples:
+            s, o = (_V, t.subject), (_V, t.object)
+            if t.label.is_builtin:
+                lc: tuple = (-1, t.label.builtin)
+            else:
+                p = (_P, t.label.name)
+                lc = (colors[p],)
+                contribs[p].append(("l", colors[s], colors[o]))
+            contribs[s].append(("s", lc, colors[o]))
+            contribs[o].append(("o", lc, colors[s]))
+        sigs = {atom: (colors[atom], tuple(sorted(contribs[atom]))) for atom in colors}
+        colors = _ref_rank(sigs)
+        k = len(set(colors.values()))
+        if k == n or k == len(colors):
+            return colors
+        n = k
+
+
+def _ref_cells(colors: dict[tuple, int]) -> list[list[tuple]]:
+    groups: dict[int, list[tuple]] = {}
+    for atom, c in colors.items():
+        groups.setdefault(c, []).append(atom)
+    return [sorted(groups[c]) for c in sorted(groups)]
+
+
+def _ref_leaf_string(g: QueryGraph, colors: dict[tuple, int]) -> str:
+    order = sorted(colors, key=lambda atom: colors[atom])
+    v_index: dict[str, int] = {}
+    p_index: dict[str, int] = {}
+    vparts = []
+    ov = g.order_values
+    for tag, name in order:
+        if tag == _V:
+            v_index[name] = len(v_index)
+            vparts.append(f"{g.vertex_by_id[name].kind[0]}{ov.get(name, '')}")
+        else:
+            p_index[name] = len(p_index)
+    tparts = []
+    for t in g.triples:
+        lab = t.label.builtin if t.label.is_builtin else f"p{p_index[t.label.name]}"
+        tparts.append(f"{v_index[t.subject]} {lab} {v_index[t.object]}")
+    return "|".join(vparts) + "//" + ";".join(sorted(tparts))
+
+
+def _ref_search(g: QueryGraph, colors: dict[tuple, int], state: dict) -> None:
+    colors = _ref_refine(g, colors)
+    target_cell = next((c for c in _ref_cells(colors) if len(c) > 1), None)
+    if target_cell is None:
+        state["leaves"] += 1
+        s = _ref_leaf_string(g, colors)
+        if state["best"] is None or s < state["best"]:
+            state["best"] = s
+            state["best_colors"] = colors
+        return
+    for atom in target_cell:
+        branched = {a: (c, 1) for a, c in colors.items()}
+        branched[atom] = (colors[atom], 0)
+        _ref_search(g, _ref_rank(branched), state)
+
+
+def reference_canonical_form(g: QueryGraph):
+    """(key, representative, leaves) by refinement and individualization
+    on dicts keyed by (tag, name) atoms with nested-tuple signatures; the
+    representative renames atoms in the order of the best leaf's colours."""
+    from kbqg.canon import StructureKey
+    from kbqg.graph import CLASS, ENTITY, LITERAL, Triple, Vertex, build_graph, user
+
+    state = {"best": None, "best_colors": None, "leaves": 0}
+    _ref_search(g, _ref_rank(_ref_initial_colors(g)), state)
+    key = StructureKey(state["best"], g.triple_count, g.aggregation_count)
+    colors = state["best_colors"]
+    ov = g.order_values
+    rename: dict[str, str] = {}
+    label_rename: dict[str, str] = {}
+    new_verts = []
+    counters = {ENTITY: 0, CLASS: 0, LITERAL: 0, "var": 0}
+    prefixes = {ENTITY: "Ent", CLASS: "Class", LITERAL: "Lit"}
+    for tag, name in sorted(colors, key=lambda atom: colors[atom]):
+        if tag == _P:
+            label_rename[name] = f"Prop{len(label_rename) + 1}"
+            continue
+        vert = g.vertex_by_id[name]
+        if vert.kind in prefixes:
+            counters[vert.kind] += 1
+            new_id = f"{prefixes[vert.kind]}{counters[vert.kind]}"
+            new_verts.append(Vertex(new_id, vert.kind, ov.get(name) or new_id))
+        else:
+            counters["var"] += 1
+            new_id = f"?v{counters['var']}"
+            new_verts.append(Vertex(new_id, vert.kind))
+        rename[name] = new_id
+    new_triples = [Triple(rename[t.subject],
+                          t.label if t.label.is_builtin else user(label_rename[t.label.name]),
+                          rename[t.object]) for t in g.triples]
+    target = rename[g.target] if g.target is not None else None
+    return key, build_graph(new_verts, new_triples, target), state["leaves"]
+
+
+def reference_merge_pair(a: QueryGraph, b: QueryGraph, max_shared_vertices: int = 2,
+                         max_shared_labels: int = 1, restrict=None):
+    """``merge_pair`` without shortcuts: every unification, in
+    ``merge_pair``'s order, is built with ``_unite``, checked with
+    ``passes_restrictions`` and keyed with ``reference_canonical_form``.
+    Returns the first union per key, and the numbers of unifications
+    generated and rejected (invalid, or failing ``restrict``)."""
+    from kbqg.graph import GraphError
+    from kbqg.merging import _apart_prefix, _rename_apart, _unite, passes_restrictions
+
+    b = _rename_apart(b, _apart_prefix(a))
+    vertex_pairs = [(va.id, vb.id) for va in a.vertices for vb in b.vertices
+                    if va.kind == vb.kind and va.kind != AGG_RESULT
+                    and a.order_values.get(va.id, "") == b.order_values.get(vb.id, "")]
+    label_pairs = [(la, lb) for la in a.user_labels for lb in b.user_labels]
+
+    def injective(pairs):
+        return all(len({p[i] for p in pairs}) == len(pairs) for i in (0, 1))
+
+    label_maps = [{lb: la for la, lb in combo} for m in range(max_shared_labels + 1)
+                  for combo in combinations(label_pairs, m) if injective(combo)]
+    out = {}
+    generated = failed = 0
+    for k in range(max_shared_vertices + 1):
+        for combo in combinations(vertex_pairs, k):
+            if not injective(combo):
+                continue
+            vmap = {vb: va for va, vb in combo}
+            for lmap in label_maps:
+                generated += 1
+                try:
+                    union = _unite(a, b, vmap, lmap)
+                except GraphError:
+                    failed += 1
+                    continue
+                if restrict is not None and not passes_restrictions(union, restrict):
+                    failed += 1
+                    continue
+                out.setdefault(reference_canonical_form(union)[0], union)
+    return out, generated, failed

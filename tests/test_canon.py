@@ -4,10 +4,14 @@ brute-force bijection oracle."""
 import random
 from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kbqg import canon
 from kbqg.canon import (
+    CanonicalizationError,
+    canonical_form,
     canonical_key,
     find_embedding,
     find_isomorphism,
@@ -34,7 +38,7 @@ from kbqg.merging import merge_pair
 from kbqg.sparql import parse_query
 
 from .graphgen import random_graph, relabeled_copy
-from .oracles import oracle_is_equivalent, oracle_is_substructure
+from .oracles import oracle_is_equivalent, oracle_is_substructure, reference_canonical_form
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -274,3 +278,82 @@ def test_value_mismatch_blocks_order_unification():
         [Triple("?x", builtin("MAXATN"), "n")], "?x")
     assert not is_equivalent(a, b)
     assert not oracle_is_equivalent(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the coded canonicalizer against the reference on dicts of tuple colours
+
+
+def symmetric_graph(rng):
+    """Two or three copies of a random graph that share one variable, or
+    a cycle of variables on one label: refinement alone leaves cells of
+    several atoms, so the search individualizes and visits several leaves."""
+    copies = rng.randint(2, 3)
+    if rng.random() < 0.3:
+        ids = [f"?c{i}" for i in range(copies + 1)]
+        return build_graph([Vertex(v, VARIABLE) for v in ids],
+                           [Triple(ids[i], user(":p"), ids[(i + 1) % len(ids)])
+                            for i in range(len(ids))], rng.choice([None, ids[0]]))
+    g = random_graph(rng, max_triples=3)
+    hubs = [v.id for v in g.vertices if v.kind == VARIABLE]
+    hub = rng.choice(hubs) if hubs else None
+
+    def copy_id(vid, i):
+        return vid if vid == hub else f"{vid}_{i}"
+
+    vertices = {copy_id(v.id, i): Vertex(copy_id(v.id, i), v.kind, v.surface)
+                for i in range(copies) for v in g.vertices}
+    triples = [Triple(copy_id(t.subject, i), t.label, copy_id(t.object, i))
+               for i in range(copies) for t in g.triples]
+    target = copy_id(g.target, 0) if g.target else None
+    return build_graph(list(vertices.values()), triples, target)
+
+
+def assert_matches_reference(g):
+    key, rep, _leaves = reference_canonical_form(g)
+    assert canonical_form.__wrapped__(g) == (key, rep), str(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds)
+def test_canonical_form_matches_reference_on_random_graphs(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, max_triples=6)
+    assert_matches_reference(g)
+    assert_matches_reference(relabeled_copy(g, rng))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_canonical_form_matches_reference_on_symmetric_graphs(seed):
+    assert_matches_reference(symmetric_graph(random.Random(seed)))
+
+
+def test_symmetric_graphs_take_several_leaves(monkeypatch):
+    graphs = [symmetric_graph(random.Random(seed)) for seed in range(40)]
+    several = [g for g in graphs if reference_canonical_form(g)[2] > 1]
+    assert len(several) >= 10
+    # the leaf budget is read when a search runs
+    monkeypatch.setattr(canon, "MAX_LEAVES", 1)
+    for g in several:
+        with pytest.raises(CanonicalizationError):
+            canonical_form.__wrapped__(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds)
+def test_canonical_form_matches_reference_with_offset_literals(seed):
+    rng = random.Random(seed)
+    g = offset_graph(rng)
+    assert_matches_reference(g)
+    assert_matches_reference(relabeled_copy(g, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, seeds)
+def test_every_merge_union_is_keyed_as_the_reference_keys_it(seed_x, seed_y):
+    x = random_graph(random.Random(seed_x), max_triples=3)
+    y = random_graph(random.Random(seed_y), max_triples=3)
+    for key, union in merge_pair(x, y).items():
+        assert reference_canonical_form(union)[0] == key
+        assert_matches_reference(union)

@@ -98,6 +98,17 @@ def test_generate_rank_wo_sub_ranks_with_a_structure_classifier(tmp_path, capsys
     assert "--models cannot be used with --setting rank-wo-sub" in capsys.readouterr().err
 
 
+def test_generate_prints_substructure_probabilities_only_when_there_are_some(capsys):
+    main(["generate", "--setting", "rank-wo-sub", "--predictor", "bow", "--gamma", "2",
+          "who directed Jaws?"])
+    assert "top substructure probabilities" not in capsys.readouterr().out
+    main(["generate", "--setting", "rank-w-sub", "--predictor", "bow", "--gamma", "2",
+          "who directed Jaws?"])
+    out = capsys.readouterr().out
+    heading = out.index("top substructure probabilities:\n")
+    assert out[heading:].splitlines()[1].startswith("  ")
+
+
 def test_eval_oracle_single_fold(tmp_path, capsys):
     report = tmp_path / "report.json"
     main(["eval", "--gamma", "2", "--predictor", "oracle", "--folds", "5",

@@ -127,6 +127,24 @@ def test_load_models_names_a_model_file_that_is_not_an_archive(tmp_path, content
     assert str(info.value).startswith(f"{npz}:1: ")
 
 
+@pytest.mark.parametrize("table, index", [("substructures", 3), ("structures", 1)])
+@pytest.mark.parametrize("field, edit", [
+    ("triple_count", lambda n: n + 1),
+    ("canonical", lambda s: s.replace("//", "|v//", 1)),
+])
+def test_load_catalog_rejects_a_key_that_is_not_its_representatives(tmp_path, table,
+                                                                    index, field, edit):
+    path = tmp_path / "catalog.json"
+    save_catalog(mine(build_dataset(), 2), path)
+    doc = json.loads(path.read_text())
+    key = doc[table][index]["key"]
+    key[field] = edit(key[field])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InputError, match="is not the key of its representative") as info:
+        load_catalog(path)
+    assert info.value.where == f"{table}[{index}]"
+
+
 def test_load_dataset_skips_a_query_that_is_not_a_valid_graph(tmp_path, caplog):
     records = [GOOD_RECORD,
                {"question": "q", "sparql": "SELECT ?x WHERE { :A :p :B }"}]

@@ -17,7 +17,11 @@ from kbqg.merging import MergeConfig, merge_pair, merge_substructures, passes_re
 from kbqg.mining import TrainingPair, contained_frequent_keys, enumerate_substructures, mine
 
 from .graphgen import random_graph
-from .oracles import oracle_containment_pattern, reference_merge_substructures
+from .oracles import (
+    oracle_containment_pattern,
+    reference_merge_pair,
+    reference_merge_substructures,
+)
 from .test_merging import merge_fixture
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
@@ -72,6 +76,35 @@ def test_restricted_merge_pair_is_filtered_merge_pair(seed_a, seed_b, tau, delta
     counts = Counter()
     assert merge_pair(a, b, restrict=cfg, counts=counts) == expected
     assert counts["generated"] - counts["failed_restrictions"] >= len(expected)
+
+
+def assert_merge_pair_matches_reference(a, b, cfg):
+    counts = Counter()
+    got = merge_pair(a, b, restrict=cfg, counts=counts)
+    expected, generated, failed = reference_merge_pair(a, b, restrict=cfg)
+    assert list(got) == list(expected)
+    assert list(got.values()) == list(expected.values())
+    assert (counts["generated"], counts["failed_restrictions"]) == (generated, failed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeds, seeds, st.one_of(st.none(), st.builds(MergeConfig, tau=st.integers(1, 7),
+                                                    delta=st.integers(0, 2))))
+def test_merge_pair_matches_the_unite_reference(seed_a, seed_b, cfg):
+    # random graphs may be disconnected, so the connectivity check runs too
+    a = random_graph(random.Random(seed_a), max_triples=3)
+    b = random_graph(random.Random(seed_b), max_triples=3)
+    assert_merge_pair_matches_reference(a, b, cfg)
+
+
+def test_merge_pair_renames_apart_from_names_it_gave_before():
+    a = random_graph(random.Random(1), max_triples=3)
+    b = random_graph(random.Random(2), max_triples=3)
+    unions = list(merge_pair(a, b).values())
+    assert any(v.id.startswith("b#") for g in unions for v in g.vertices)
+    for union in unions[:10]:
+        assert_merge_pair_matches_reference(union, b, None)
+        assert_merge_pair_matches_reference(union, union, MergeConfig(tau=7))
 
 
 _CATALOG, _GOLD, _PROBS = merge_fixture()
