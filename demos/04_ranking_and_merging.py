@@ -52,7 +52,7 @@ a = parse_query("SELECT ?v WHERE { ?v :p Ent1 }")
 b = parse_query("SELECT ?v WHERE { ?v :q ?w }")
 a = QueryGraph(a.vertices, a.triples, None)
 b = QueryGraph(b.vertices, b.triples, None)
-print(f"\nall merges of {a} and {b} (b's names renamed apart as b#...):")
+print(f"\nall merges of {a} and {b} (each as its canonical representative):")
 for key, graph in merge_pair(a, b).items():
     note = "" if graph.is_connected() else "   (disconnected: filtered later)"
     print(f"  {graph}{note}")

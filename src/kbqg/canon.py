@@ -21,10 +21,7 @@ the test suite.
 
 The search runs on an integer coding of the graph (``CodedGraph``).
 ``compile_graph`` numbers the atoms in their sorted (tag, name) order:
-user labels, then vertices. (A merge union, which is only keyed, is
-numbered otherwise; atom order decides only which of several equal
-least leaves is found first, so it cannot change a key.) Colours are
-dense ranks, and a triple is
+user labels, then vertices. Colours are dense ranks, and a triple is
 ``(subject, label atom, built-in code, object)``. A refinement
 signature is the atom's colour and the sorted tuple of one integer per
 incident triple: the mixed-radix number of (role, label code, other
@@ -38,6 +35,23 @@ otherwise). The search therefore visits the same leaves in the same
 order and reaches the same least string: the keys, the best leaf's
 colours and the representatives (target included) are those of the
 tuple form, which the test suite keeps as a reference.
+
+``representative`` is the one decoder from a coded graph and a best
+colouring to the canonical placeholder graph. A merge union
+(``merging.merge_pair``) is numbered otherwise than ``compile_graph``
+would number the union as a graph. Atom order decides only which of
+several equal least leaves is found first, so it cannot change a key;
+without a target it cannot change the representative either, because
+the decoder reads the colouring only through what the leaf string
+records. The vertex of colour c takes the kind and offset of the
+string's c-th part and is numbered among the earlier vertices of its
+kind, the label of colour ``nv + i`` becomes ``Prop{i + 1}``, and each
+triple is one entry of the string. Two colourings with the same leaf
+string therefore decode to the same graph, however the atoms are
+numbered, and a union decoded from its merge's numbering equals the
+``canonical_form`` representative of that union. A target is not in
+the string, so a targeted graph is decoded from ``compile_graph``'s
+numbering, as ``canonical_form`` does.
 """
 
 from __future__ import annotations
@@ -54,10 +68,12 @@ from .graph import (
     ENTITY,
     LITERAL,
     VARIABLE,
+    VERTEX_KINDS,
     QueryGraph,
     Triple,
     Vertex,
     build_graph,
+    builtin,
     user,
 )
 
@@ -311,10 +327,11 @@ def _leaf_string(coded: CodedGraph, colors: list[int]) -> str:
     return "|".join([parts[order[c]] for c in range(nv)]) + "//" + ";".join(tparts)
 
 
-def _canonicalize(coded: CodedGraph) -> tuple[StructureKey, list[int]]:
-    """The key, and the colouring of the first leaf that gives it: refine,
-    then individualize each atom of the first non-singleton cell in atom
-    order and search depth first, keeping the least leaf string."""
+def canonicalize(coded: CodedGraph) -> tuple[StructureKey, list[int]]:
+    """The key, and the colouring of the first leaf that gives it (the
+    input of ``representative``): refine, then individualize each atom of
+    the first non-singleton cell in atom order and search depth first,
+    keeping the least leaf string."""
     n = len(coded.colors)
     r = n + _NB
     builtins = [(s, o, 2 * r * r + code * r, r * r + code * r)
@@ -349,10 +366,45 @@ def _canonicalize(coded: CodedGraph) -> tuple[StructureKey, list[int]]:
     return StructureKey(best, len(coded.triples), aggs), best_colors
 
 
-def coded_key(coded: CodedGraph) -> StructureKey:
-    """The canonical key of a coded graph, such as a merge union that is
-    keyed once and never built as a ``QueryGraph``."""
-    return _canonicalize(coded)[0]
+#: each built-in label, in ``_BUILTINS`` order, shared by every representative
+_BUILTIN_EDGES = tuple(builtin(name) for name in _BUILTINS)
+#: vertex kind by its initial, the first character of a vertex's part
+_KINDS = {kind[0]: kind for kind in VERTEX_KINDS}
+#: placeholder id prefix per kind; variables of either kind are ``?v``
+_PLACEHOLDERS = {ENTITY: "Ent", CLASS: "Class", LITERAL: "Lit"}
+
+
+def representative(coded: CodedGraph, colors: list[int],
+                   target: int | None = None) -> QueryGraph:
+    """The canonical placeholder graph of ``coded`` under the discrete
+    colouring ``colors`` (a best leaf's), with the ``target`` atom as its
+    target.
+
+    Atoms are renamed in colour order. Entities, classes and literals
+    become Ent1, Class1, Lit1, ..., with the id as surface except
+    MAXATN/MINATN offsets, which keep their value; variables and
+    aggregation results become ?v1, ?v2, ...; user labels become
+    Prop1, Prop2, ...
+    """
+    nv = coded.nv
+    order = [0] * len(colors)
+    for atom, c in enumerate(colors):
+        order[c] = atom
+    counters: dict[str, int] = {}
+    ids: dict[int, str] = {}
+    verts = []
+    for atom in order[:nv]:
+        part = coded.parts[atom]
+        kind = _KINDS[part[0]]
+        prefix = _PLACEHOLDERS.get(kind, "?v")
+        counters[prefix] = counters.get(prefix, 0) + 1
+        ids[atom] = new_id = f"{prefix}{counters[prefix]}"
+        surface = (part[1:] or new_id) if kind in _PLACEHOLDERS else None
+        verts.append(Vertex(new_id, kind, surface))
+    props = [user(f"Prop{i + 1}") for i in range(len(colors) - nv)]
+    triples = [Triple(ids[s], _BUILTIN_EDGES[code] if p < 0 else props[colors[p] - nv], ids[o])
+               for s, p, code, o in coded.triples]
+    return build_graph(verts, triples, None if target is None else ids[target])
 
 
 @lru_cache(maxsize=8192)
@@ -360,44 +412,13 @@ def canonical_form(g: QueryGraph) -> tuple[StructureKey, QueryGraph]:
     """Canonical key plus the canonically renamed placeholder representative.
 
     Equivalent graphs yield an identical key and an identical representative
-    (up to the preserved target vertex). All surfaces are erased to
-    placeholders (Ent1, Class1, Lit1, ...) except MAXATN/MINATN offsets,
-    which keep their value; user-defined labels become Prop1, Prop2, ...
+    (up to the preserved target vertex); see ``representative``.
     """
-    key, colors = _canonicalize(compile_graph(g))
-    labels = g.user_labels
-    nl = len(labels)
-    order = [0] * len(colors)
-    for atom, c in enumerate(colors):
-        order[c] = atom
-    ov = g.order_values
-    rename: dict[str, str] = {}
-    label_rename: dict[str, str] = {}
-    new_verts = []
-    counters = {ENTITY: 0, CLASS: 0, LITERAL: 0, "var": 0}
-    for atom in order:
-        if atom < nl:
-            label_rename[labels[atom]] = f"Prop{len(label_rename) + 1}"
-            continue
-        vert = g.vertices[atom - nl]
-        if vert.kind in (ENTITY, CLASS, LITERAL):
-            counters[vert.kind] += 1
-            prefix = {ENTITY: "Ent", CLASS: "Class", LITERAL: "Lit"}[vert.kind]
-            surface = ov.get(vert.id) or f"{prefix}{counters[vert.kind]}"
-            new_id = f"{prefix}{counters[vert.kind]}"
-            new_verts.append(Vertex(new_id, vert.kind, surface))
-        else:
-            counters["var"] += 1
-            new_id = f"?v{counters['var']}"
-            new_verts.append(Vertex(new_id, vert.kind))
-        rename[vert.id] = new_id
-    new_triples = []
-    for t in g.triples:
-        lab = t.label if t.label.is_builtin else user(label_rename[t.label.name])
-        new_triples.append(Triple(rename[t.subject], lab, rename[t.object]))
-    target = rename[g.target] if g.target is not None else None
-    rep = build_graph(new_verts, new_triples, target)
-    return key, rep
+    coded = compile_graph(g)
+    key, colors = canonicalize(coded)
+    target = (None if g.target is None
+              else len(g.user_labels) + [v.id for v in g.vertices].index(g.target))
+    return key, representative(coded, colors, target)
 
 
 def canonical_key(g: QueryGraph) -> StructureKey:

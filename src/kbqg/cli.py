@@ -11,6 +11,7 @@ movie-domain fixtures so every subcommand runs out of the box.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from io import StringIO
@@ -116,9 +117,13 @@ def cmd_train(args):
     cfg = _pipeline_config(args).train
     models = train(dataset.pairs, catalog, cfg)
     save_models(models, args.out, cfg)
-    accs = sorted(m.dev_accuracy for m in models.values())
-    print(f"trained {len(models)} substructure predictors; "
-          f"dev accuracy min={accs[0]:.3f} median={accs[len(accs) // 2]:.3f}")
+    # a constant model (degenerate labels) has a NaN accuracy, which
+    # ``sorted`` cannot order
+    accs = sorted(m.dev_accuracy for m in models.values() if not math.isnan(m.dev_accuracy))
+    summary = (f"; dev accuracy of the others min={accs[0]:.3f} "
+               f"median={accs[len(accs) // 2]:.3f}" if accs else "")
+    print(f"trained {len(models)} substructure predictors, "
+          f"{len(models) - len(accs)} constant{summary}")
     print(f"models written to {args.out}")
 
 

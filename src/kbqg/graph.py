@@ -50,7 +50,7 @@ class GraphError(ValueError):
     """Raised when a graph violates a structural invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeLabel:
     """Either a fixed built-in property or a user-defined property name."""
 
@@ -84,7 +84,7 @@ def user(name: str) -> EdgeLabel:
     return EdgeLabel(name=name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """One graph vertex.
 
@@ -107,7 +107,7 @@ class Vertex:
             raise GraphError(f"{self.kind} vertex {self.id!r} needs a surface symbol")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: str
     label: EdgeLabel

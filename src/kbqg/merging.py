@@ -23,13 +23,14 @@ output:
   label unification is tried.
 * Keys before graphs. ``merge_pair`` compiles its two inputs once
   (``canon.compile_graph``), assembles each union's integer triples
-  from their index maps, checks the restrictions on them and keys the
-  union on that coded form. It keeps the first union found per key,
-  and builds it as a ``QueryGraph`` only when the key is looked up.
+  from their index maps, checks the restrictions on them and
+  canonicalizes the union in that coded form. It keeps, per key, the
+  first coded union found and its best colouring, and decodes the
+  canonical representative (``canon.representative``) only when the
+  key is looked up. That is the representative ``canonical_form``
+  gives the union, so it is never canonicalized again.
   ``merge_substructures`` looks up only keys that are new to the
-  question, whose containment pattern it needs, and keeps that graph.
-  The canonical representative is built only for the candidates that
-  survive theta and the beam and enter the next round and the result.
+  question, whose containment pattern it needs.
 * Known parts. A merge contains every frequent substructure that either
   input contains, so ``contained_frequent_keys`` is given those and
   tests only the others. The resulting containment pattern is scored
@@ -41,25 +42,18 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .canon import (
     AGGREGATION_CODES,
     CodedGraph,
     StructureKey,
-    canonical_form,
-    coded_key,
+    canonicalize,
     compile_graph,
     initial_colors,
+    representative,
 )
-from .graph import (
-    AGG_RESULT,
-    QueryGraph,
-    Triple,
-    Vertex,
-    build_graph,
-    user,
-)
+from .graph import AGG_RESULT, QueryGraph
 from .mining import SubstructureCatalog, contained_frequent_keys, graph_to_json
 from .ranking import MERGED, ScoredStructure, score_containment
 
@@ -87,52 +81,9 @@ def passes_restrictions(g: QueryGraph, cfg: MergeConfig) -> bool:
             and g.aggregation_count <= cfg.delta)
 
 
-def _apart_prefix(a: QueryGraph) -> str:
-    """``b#``, or with more ``#`` if a name of ``a`` starts with it: a
-    prefix that keeps the other input's names disjoint from a's."""
-    prefix = "b#"
-    while any(name.startswith(prefix) for name in (*a.vertex_by_id, *a.user_labels)):
-        prefix += "#"
-    return prefix
-
-
-def _rename_apart(b: QueryGraph, prefix: str) -> QueryGraph:
-    """b with its vertex ids and user label names prefixed."""
-    verts = [Vertex(prefix + v.id, v.kind, v.surface) for v in b.vertices]
-    triples = []
-    for t in b.triples:
-        label = t.label if t.label.is_builtin else user(prefix + t.label.name)
-        triples.append(Triple(prefix + t.subject, label, prefix + t.object))
-    return build_graph(verts, triples, prefix + b.target if b.target else None)
-
-
-def _unifiable(a: QueryGraph, va: Vertex, b: QueryGraph, vb: Vertex) -> bool:
-    if va.kind != vb.kind or va.kind == AGG_RESULT:
-        return False
-    # offset literals only unify with offset literals of equal value
-    return a.order_values.get(va.id, "") == b.order_values.get(vb.id, "")
-
-
 def _injective(pairs) -> bool:
     return (len({p[0] for p in pairs}) == len(pairs)
             and len({p[1] for p in pairs}) == len(pairs))
-
-
-def _unite(a: QueryGraph, b: QueryGraph, vmap: dict[str, str],
-           lmap: dict[str, str]) -> QueryGraph:
-    """The union of a and the renamed-apart b with b's vertices ``vmap``
-    and user labels ``lmap`` identified with a's. Unified vertices share
-    a kind that is never an aggregation result, so every vertex keeps
-    its kind and the union is a valid graph."""
-    triples = set(a.triples)
-    for t in b.triples:
-        label = t.label
-        if not label.is_builtin and label.name in lmap:
-            label = user(lmap[label.name])
-        triples.add(Triple(vmap.get(t.subject, t.subject), label,
-                           vmap.get(t.object, t.object)))
-    verts = list(a.vertices) + [v for v in b.vertices if v.id not in vmap]
-    return build_graph(verts, triples, None)
 
 
 def _connected(ends) -> bool:
@@ -151,20 +102,15 @@ def _connected(ends) -> bool:
 
 
 class _Unions(Mapping):
-    """``merge_pair``'s result. It holds, per key, the maps of the first
-    union found with it, and builds that union with ``_unite`` when the
-    key is looked up."""
+    """``merge_pair``'s result. It holds, per key, the coded form of the
+    first union found with it and that union's best colouring, and
+    decodes the representative when the key is looked up."""
 
-    def __init__(self, a: QueryGraph, b: QueryGraph, prefix: str,
-                 found: dict[StructureKey, tuple[dict, dict]]):
-        self._a, self._b, self._prefix, self._found = a, b, prefix, found
-        self._renamed: QueryGraph | None = None
+    def __init__(self, found: dict[StructureKey, tuple[CodedGraph, list[int]]]):
+        self._found = found
 
     def __getitem__(self, key: StructureKey) -> QueryGraph:
-        vmap, lmap = self._found[key]
-        if self._renamed is None:
-            self._renamed = _rename_apart(self._b, self._prefix)
-        return _unite(self._a, self._renamed, vmap, lmap)
+        return representative(*self._found[key])
 
     def __contains__(self, key) -> bool:
         return key in self._found
@@ -183,14 +129,12 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
                counts: Counter | None = None) -> Mapping[StructureKey, QueryGraph]:
     """All structures obtainable by unifying up to ``max_shared_vertices``
     vertex pairs and ``max_shared_labels`` user-label pairs of the disjoint
-    union of a and b, deduplicated by canonical key: each key maps to the
-    first union found with it, as built (not the canonical representative,
-    which ``canonical_form`` gives). b's names are prefixed with ``b#``
-    (with more ``#`` if a name of a already starts with ``b#``).
+    union of a and b, deduplicated by canonical key: each key maps to its
+    canonical representative, as ``canonical_form`` gives it.
 
-    Every union is checked and keyed in coded form (``canon.CodedGraph``)
-    and built as a graph only when its key is looked up, so a caller
-    that reads only the keys builds none.
+    Every union is checked and keyed in coded form (``canon.CodedGraph``),
+    and a representative is decoded only when its key is looked up, so a
+    caller that reads only the keys builds no graph.
 
     Without ``restrict`` the bare disjoint union is included. With it,
     only results that pass ``passes_restrictions(., restrict)`` are
@@ -204,38 +148,35 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
     # both but the unified b atoms, whose colours equal their partners'
     colors = initial_colors(ca.parts + cb.parts)
     a_colors, b_colors = colors[:na], colors[na:]
-    # compiled atoms are the user labels, then the vertices
+    # compiled atoms are the user labels, then the vertices; a vertex's
+    # part is its kind initial and offset value, so two vertices unify
+    # when their parts are equal and not an aggregation result's
     la, lb = len(a.user_labels), len(b.user_labels)
-    prefix = _apart_prefix(a)
-    vertex_pairs = [(la + i, lb + j, va.id, prefix + vb.id)
-                    for i, va in enumerate(a.vertices) for j, vb in enumerate(b.vertices)
-                    if _unifiable(a, va, b, vb)]
-    label_pairs = [(i, j, name_a, prefix + name_b)
-                   for i, name_a in enumerate(a.user_labels)
-                   for j, name_b in enumerate(b.user_labels)]
-    label_maps = [(combo, {pb: pa for _i, _j, pa, pb in combo})
-                  for l in range(max_shared_labels + 1)
-                  for combo in combinations(label_pairs, l) if _injective(combo)]
+    vertex_pairs = [(i, j) for i in range(la, na) for j in range(lb, len(cb.parts))
+                    if ca.parts[i] == cb.parts[j] != AGG_RESULT[0]]
+    label_combos = [combo for l in range(max_shared_labels + 1)
+                    for combo in combinations(product(range(la), range(lb)), l)
+                    if _injective(combo)]
     a_triples = set(ca.triples)
     b_builtins = [(s, code, o) for s, p, code, o in cb.triples if p < 0]
     b_users = [(s, p, o) for s, p, _code, o in cb.triples if p >= 0]
     union_size = len(ca.triples) + len(cb.triples)
     connected = a.is_connected() and b.is_connected()
 
-    found: dict[StructureKey, tuple[dict, dict]] = {}
+    found: dict[StructureKey, tuple[CodedGraph, list[int]]] = {}
     generated = failed = 0
     for k in range(max_shared_vertices + 1):
         for combo in combinations(vertex_pairs, k):
             if not _injective(combo):
                 continue
-            generated += len(label_maps)
-            index = {j: i for i, j, _va, _vb in combo}
+            generated += len(label_combos)
+            index = {j: i for i, j in combo}
             if restrict is not None:
                 # only a b-triple with both ends unified can coincide with
                 # an a-triple, so this is a lower bound on the result size
                 shared = sum(1 for s, _p, _c, o in cb.triples if s in index and o in index)
                 if k == 0 or union_size - shared > restrict.tau:
-                    failed += len(label_maps)
+                    failed += len(label_combos)
                     continue
             # the union's atoms: a's, b's other vertices, b's other labels;
             # the vertices and the built-in triples do not depend on the labels
@@ -251,12 +192,11 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
                     or not (connected or _connected(
                         [(t[0], t[3]) for t in fixed]
                         + [(index[s], index[o]) for s, _p, o in b_users]))):
-                failed += len(label_maps)
+                failed += len(label_combos)
                 continue
-            vmap = {vb: va for _i, _j, va, vb in combo}
             nv = ca.nv + cb.nv - k
-            for lcombo, lmap in label_maps:
-                lindex = {j: i for i, j, _pa, _pb in lcombo}
+            for lcombo in label_combos:
+                lindex = {j: i for i, j in lcombo}
                 union_colors, parts = list(vertex_colors), list(vertex_parts)
                 for j in range(lb):
                     if j not in lindex:
@@ -267,11 +207,12 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
                 if restrict is not None and len(triples) > restrict.tau:
                     failed += 1
                     continue
-                key = coded_key(CodedGraph(union_colors, parts, list(triples), nv))
-                found.setdefault(key, (vmap, lmap))
+                coded = CodedGraph(union_colors, parts, list(triples), nv)
+                key, best = canonicalize(coded)
+                found.setdefault(key, (coded, best))
     if counts is not None:
         counts.update(generated=generated, failed_restrictions=failed)
-    return _Unions(a, b, prefix, found)
+    return _Unions(found)
 
 
 ROUND_COUNTS = ("generated", "failed_restrictions", "duplicates", "below_theta",
@@ -303,7 +244,7 @@ def merge_substructures(probs: dict[StructureKey, float],
     reps = {k: e.representative for k, e in catalog.substructures.items()}
     patterns = dict(catalog.containment)
     scores: dict[StructureKey, float] = {}
-    # one graph per scored key: a representative, or the first union built
+    # the representative of each scored key
     graphs: dict[StructureKey, QueryGraph] = dict(reps)
 
     def record_round(label, members, counts):
@@ -358,8 +299,6 @@ def merge_substructures(probs: dict[StructureKey, float],
             counts["cut_by_beam"] = len(merged) - cfg.beam
             best_keys = sorted(merged, key=lambda k: (-scores[k], k.sort_key()))[:cfg.beam]
             merged = {k: merged[k] for k in best_keys}
-        # only the survivors get their canonical representative
-        merged = {k: canonical_form(g)[1] for k, g in merged.items()}
         result.update(merged)
         current = merged
         record_round(_round + 1, current, counts)

@@ -463,15 +463,25 @@ def reference_canonical_form(g: QueryGraph):
 
 def reference_merge_pair(a: QueryGraph, b: QueryGraph, max_shared_vertices: int = 2,
                          max_shared_labels: int = 1, restrict=None):
-    """``merge_pair`` without shortcuts: every unification, in
-    ``merge_pair``'s order, is built with ``_unite``, checked with
-    ``passes_restrictions`` and keyed with ``reference_canonical_form``.
-    Returns the first union per key, and the numbers of unifications
-    generated and rejected (invalid, or failing ``restrict``)."""
-    from kbqg.graph import GraphError
-    from kbqg.merging import _apart_prefix, _rename_apart, _unite, passes_restrictions
+    """``merge_pair`` without shortcuts: b is renamed apart from a, and
+    every unification, in ``merge_pair``'s order, is built as a graph,
+    checked with ``passes_restrictions`` and keyed with
+    ``reference_canonical_form``. Returns the first union per key, and
+    the numbers of unifications generated and rejected (invalid, or
+    failing ``restrict``)."""
+    from kbqg.graph import GraphError, Triple, Vertex, build_graph, user
+    from kbqg.merging import passes_restrictions
 
-    b = _rename_apart(b, _apart_prefix(a))
+    # b's names get a prefix that no name of a starts with
+    prefix = "b#"
+    while any(name.startswith(prefix) for name in (*a.vertex_by_id, *a.user_labels)):
+        prefix += "#"
+    b = build_graph(
+        [Vertex(prefix + v.id, v.kind, v.surface) for v in b.vertices],
+        [Triple(prefix + t.subject,
+                t.label if t.label.is_builtin else user(prefix + t.label.name),
+                prefix + t.object) for t in b.triples],
+        prefix + b.target if b.target else None)
     vertex_pairs = [(va.id, vb.id) for va in a.vertices for vb in b.vertices
                     if va.kind == vb.kind and va.kind != AGG_RESULT
                     and a.order_values.get(va.id, "") == b.order_values.get(vb.id, "")]
@@ -491,8 +501,14 @@ def reference_merge_pair(a: QueryGraph, b: QueryGraph, max_shared_vertices: int 
             vmap = {vb: va for va, vb in combo}
             for lmap in label_maps:
                 generated += 1
+                triples = set(a.triples) | {
+                    Triple(vmap.get(t.subject, t.subject),
+                           t.label if t.label.is_builtin else user(lmap.get(t.label.name,
+                                                                            t.label.name)),
+                           vmap.get(t.object, t.object)) for t in b.triples}
+                verts = list(a.vertices) + [v for v in b.vertices if v.id not in vmap]
                 try:
-                    union = _unite(a, b, vmap, lmap)
+                    union = build_graph(verts, triples, None)
                 except GraphError:
                     failed += 1
                     continue

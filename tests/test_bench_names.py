@@ -34,3 +34,28 @@ def test_benchmark_name_resolves(module_name, attr):
         assert method in vars(getattr(owner, cls_name))
     else:
         assert callable(getattr(owner, attr))
+
+
+def test_canonical_form_keeps_the_cache_interface_the_benchmark_calls():
+    # the benchmark clears the cache, reads its hit counts and times the
+    # uncached function
+    from kbqg.canon import canonical_form
+
+    for attr in ("cache_clear", "cache_info", "__wrapped__"):
+        assert callable(getattr(canonical_form, attr))
+
+
+def test_merge_pair_takes_the_arguments_and_gives_the_result_the_benchmark_uses():
+    # the benchmark replays recorded calls with ``restrict=`` and ``counts=``
+    # and counts each result's candidates with ``len``
+    from collections import Counter
+
+    from kbqg.merging import MergeConfig, merge_pair
+    from kbqg.sparql import parse_query
+
+    a = parse_query("SELECT ?x WHERE { ?x :p :E }")
+    b = parse_query("SELECT ?y WHERE { ?y :q ?z }")
+    counts = Counter()
+    result = merge_pair(a, b, restrict=MergeConfig(), counts=counts)
+    assert len(result) == len(list(result)) > 0
+    assert counts["generated"] > 0

@@ -1,6 +1,7 @@
 """CLI smoke tests over the bundled fixtures, using the fast predictors."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +10,8 @@ from kbqg.cli import main
 from kbqg.grounding import LinkingCandidate, save_candidates
 from kbqg.merging import ROUND_COUNTS
 from kbqg.pipeline import QueryGenerator
+from kbqg.predictor import DegenerateLabelWarning
+from kbqg.toydata import data_dir
 
 
 def test_mine_writes_catalog(tmp_path, capsys):
@@ -35,6 +38,29 @@ def test_train_and_generate(tmp_path, capsys):
     assert "ranked structures" in out
     assert ":S_Kubrick" in out
     assert "    -> {:S_Kubrick}\n" in out
+
+
+def test_train_summarizes_the_accuracy_of_models_that_are_not_constant(tmp_path, capsys,
+                                                                        monkeypatch):
+    # question types s2, s5 and s8 give one substructure a degenerate label
+    # set, and its constant model a NaN accuracy
+    questions = json.loads((data_dir() / "mini_dataset.json").read_text())
+    dataset = tmp_path / "dataset.json"
+    dataset.write_text(json.dumps([q for q in questions
+                                   if q["id"].split("-")[0] in ("s2", "s5", "s8")]))
+    with pytest.warns(DegenerateLabelWarning):
+        main(["train", "--dataset", str(dataset), "--gamma", "2", "--predictor", "bow",
+              "--out", str(tmp_path / "models")])
+    assert ("trained 6 substructure predictors, 1 constant; "
+            "dev accuracy of the others min=1.000 median=1.000\n") in capsys.readouterr().out
+    # ``sorted`` leaves [0.5, nan, 0.25] as it is
+    accuracies = [0.5, float("nan"), 0.25]
+    monkeypatch.setattr(cli, "train", lambda *args: {
+        i: SimpleNamespace(dev_accuracy=acc) for i, acc in enumerate(accuracies)})
+    monkeypatch.setattr(cli, "save_models", lambda *args: None)
+    main(["train", "--gamma", "2", "--predictor", "bow", "--out", str(tmp_path / "unused")])
+    assert ("trained 3 substructure predictors, 1 constant; "
+            "dev accuracy of the others min=0.250 median=0.500\n") in capsys.readouterr().out
 
 
 def test_generate_with_an_ambiguous_mention_in_a_candidate_file(tmp_path, capsys):

