@@ -190,7 +190,13 @@ def find_embedding(a: QueryGraph, b: QueryGraph):
                 g_used.discard(g.pop(label_added))
         return False
 
-    if not match(0):
+    try:
+        found = match(0)
+    finally:
+        # ``match`` reaches itself through its closure cell; emptying the
+        # cells breaks that cycle, so each call's state is freed at once
+        del match, try_bind
+    if not found:
         return None
     g.update((t.label.builtin, t.label.builtin) for t in a.triples if t.label.is_builtin)
     return f, g

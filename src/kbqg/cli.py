@@ -73,9 +73,13 @@ def _add_common(parser):
     parser.add_argument("--patience", type=int, default=5)
 
 
-def _load_inputs(args):
+def _load_dataset(args):
     prefixes = load_prefixes(args.prefixes) if args.prefixes else None
-    dataset = load_dataset(_default(args.dataset, "mini_dataset.json"), prefixes)
+    return load_dataset(_default(args.dataset, "mini_dataset.json"), prefixes)
+
+
+def _load_inputs(args):
+    dataset = _load_dataset(args)
     kb = load_kb(_default(args.kb, "toy_kb.tsv"),
                  _default(args.schema, "toy_schema.txt"))
     linker = DictionaryLinker.from_file(_default(args.gazetteer, "toy_gazetteer.tsv"))
@@ -102,7 +106,7 @@ def _pipeline_config(args, **overrides):
 
 
 def cmd_mine(args):
-    dataset, _kb, _linker = _load_inputs(args)
+    dataset = _load_dataset(args)
     catalog = mine(dataset.pairs, args.gamma)
     save_catalog(catalog, args.out)
     print(f"mined {len(dataset.pairs)} pairs -> {len(catalog.structures)} structures, "
@@ -111,7 +115,7 @@ def cmd_mine(args):
 
 
 def cmd_train(args):
-    dataset, _kb, _linker = _load_inputs(args)
+    dataset = _load_dataset(args)
     catalog = load_catalog(args.catalog) if args.catalog else mine(dataset.pairs,
                                                                    args.gamma)
     cfg = _pipeline_config(args).train

@@ -26,7 +26,7 @@ from .grounding import (
     LinkingCandidate,
     with_distractors,
 )
-from .io import InputError, located, read_json, write_json
+from .io import InputError, located, read_json
 from .kb import AnswerSet, KnowledgeBase, execute, format_answer
 from .merging import MergeConfig
 from .mining import (
@@ -43,7 +43,7 @@ from .predictor import (
     train,
     train_structure_classifier,
 )
-from .sparql import QuerySyntaxError, UnsupportedFeatureError, parse_query, serialize_query
+from .sparql import QuerySyntaxError, UnsupportedFeatureError, parse_query
 
 log = logging.getLogger(__name__)
 
@@ -92,19 +92,6 @@ def load_dataset(path, prefixes=None, name: str | None = None) -> Dataset:
         log.warning("skipped %d/%d records with unsupported queries",
                     skipped, len(records))
     return Dataset(name or str(path), pairs, skipped)
-
-
-def save_dataset(dataset: Dataset, path) -> None:
-    records = []
-    for pair in dataset.pairs:
-        records.append({
-            "id": pair.qid,
-            "question": pair.question,
-            "sparql": serialize_query(pair.query),
-            "mentions": [{"start": m.start, "end": m.end, "surface": m.surface}
-                         for m in pair.mentions],
-        })
-    write_json(path, records)
 
 
 # ---------------------------------------------------------------------------

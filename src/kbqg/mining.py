@@ -64,6 +64,9 @@ class TrainingPair:
         for m in self.mentions:
             if m.end > len(self.question):
                 raise ValueError("mention span outside question")
+            if self.question[m.start:m.end] != m.surface:
+                raise ValueError(f"mention surface {m.surface!r} is not the question "
+                                 f"text {self.question[m.start:m.end]!r} at [{m.start}, {m.end})")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Equivalence, substructure and canonical-form checks against the
 brute-force bijection oracle."""
 
+import gc
 import random
 from itertools import permutations
 
@@ -358,3 +359,18 @@ def test_every_merge_union_is_keyed_as_the_reference_keys_it(seed_x, seed_y):
         ref_key, ref_rep, _leaves = reference_canonical_form(union)
         assert (ref_key, ref_rep) == (key, union)
         assert_matches_reference(union)
+
+
+def test_matching_leaves_no_cyclic_garbage():
+    rng = random.Random(7)
+    graphs = [random_graph(rng, max_triples=4) for _ in range(10)]
+    gc.collect()
+    gc.disable()
+    try:
+        for a in graphs:
+            for b in graphs:
+                is_substructure(a, b)
+                find_isomorphism(a, b)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

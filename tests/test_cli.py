@@ -63,6 +63,21 @@ def test_train_summarizes_the_accuracy_of_models_that_are_not_constant(tmp_path,
             "dev accuracy of the others min=0.250 median=0.500\n") in capsys.readouterr().out
 
 
+def test_mine_and_train_read_only_the_dataset(tmp_path, capsys, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("mine and train need no KB or gazetteer")
+
+    monkeypatch.setattr(cli, "load_kb", unused)
+    monkeypatch.setattr(cli.DictionaryLinker, "from_file", unused)
+    catalog = tmp_path / "catalog.json"
+    main(["mine", "--gamma", "2", "--out", str(catalog)])
+    main(["train", "--gamma", "2", "--catalog", str(catalog), "--predictor", "bow",
+          "--out", str(tmp_path / "models")])
+    out = capsys.readouterr().out
+    assert "catalog written to" in out
+    assert "models written to" in out
+
+
 def test_generate_with_an_ambiguous_mention_in_a_candidate_file(tmp_path, capsys):
     candidates = tmp_path / "cands.json"
     span = (19, 34)

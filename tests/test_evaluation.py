@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from kbqg.canon import canonical_key
 from kbqg.evaluation import (
     Dataset,
     PipelineConfig,
@@ -14,7 +13,6 @@ from kbqg.evaluation import (
     load_dataset,
     make_folds,
     run_pipeline,
-    save_dataset,
     split_fold,
     symbol_pools,
     training_fraction_sweep,
@@ -23,7 +21,7 @@ from kbqg.kb import AnswerSet
 from kbqg.mining import MAX_TRIPLES, mine
 from kbqg.predictor import TrainConfig
 from kbqg.sparql import parse_query
-from kbqg.toydata import build_dataset, build_dataset_records, build_kb
+from kbqg.toydata import build_dataset, build_kb, data_dir
 
 warnings.filterwarnings("ignore", category=UserWarning)
 
@@ -45,11 +43,8 @@ def oracle_config(**kw):
     return PipelineConfig(**base)
 
 
-def test_load_dataset_mini(tmp_path, mini):
-    path = tmp_path / "mini.json"
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(build_dataset_records(), f)
-    ds = load_dataset(path)
+def test_load_dataset_mini():
+    ds = load_dataset(data_dir() / "mini_dataset.json")
     assert len(ds.pairs) == 40
     assert ds.skipped == 0
     assert all(p.mentions for p in ds.pairs)
@@ -71,16 +66,6 @@ def test_load_dataset_skips_unsupported(tmp_path):
     assert len(ds.pairs) == 1
     assert ds.skipped == 3
     assert mine(ds.pairs, 0).structures
-
-
-def test_save_dataset_roundtrip(tmp_path, mini):
-    path = tmp_path / "saved.json"
-    save_dataset(mini, path)
-    again = load_dataset(path)
-    assert len(again.pairs) == len(mini.pairs)
-    for a, b in zip(mini.pairs, again.pairs):
-        assert canonical_key(a.query) == canonical_key(b.query)
-        assert a.question == b.question
 
 
 def test_answer_f1_cases():

@@ -1,17 +1,19 @@
 """Input files: every malformed input raises ``InputError`` naming the
 file and the line or record; a fuzz over edited copies of the bundled and
-saved files finds no other exception; the dataset generator matches the
-bundled dataset file."""
+saved files finds no other exception; the bundled dataset file has the
+fixture's shape."""
 
 import json
 import logging
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kbqg.canon import canonical_key
 from kbqg.evaluation import load_dataset
 from kbqg.grounding import DictionaryLinker, LinkingCandidate, load_candidates, save_candidates
 from kbqg.io import InputError, read_json
@@ -19,7 +21,7 @@ from kbqg.kb import load_kb, load_schema
 from kbqg.mining import key_to_json, load_catalog, mine, save_catalog
 from kbqg.predictor import ConstantModel, load_models, save_models
 from kbqg.sparql import load_prefixes
-from kbqg.toydata import build_dataset, build_dataset_records, data_dir
+from kbqg.toydata import build_dataset, data_dir
 
 
 def load_manifest(path):
@@ -31,6 +33,8 @@ GOOD_RECORD = {"question": "who directed Jaws?",
                "mentions": [{"start": 13, "end": 17}]}
 MENTION_WITHOUT_START = dict(GOOD_RECORD, mentions=[{"end": 17}])
 MENTION_PAST_THE_END = dict(GOOD_RECORD, mentions=[{"start": 13, "end": 40}])
+MENTION_SURFACE_MISMATCH = dict(GOOD_RECORD, mentions=[{"start": 13, "end": 17,
+                                                        "surface": "Duel"}])
 
 # (loader, file name, content, where the error is)
 MALFORMED = {
@@ -49,6 +53,9 @@ MALFORMED = {
                                       "record 1"),
     "dataset-mention-past-the-end": (load_dataset, "ds.json",
                                      json.dumps([MENTION_PAST_THE_END]), "record 0"),
+    "dataset-mention-surface-mismatch": (load_dataset, "ds.json",
+                                         json.dumps([GOOD_RECORD, MENTION_SURFACE_MISMATCH]),
+                                         "record 1"),
     "dataset-record-not-an-object": (load_dataset, "ds.json", '[["q", "SELECT"]]',
                                      "record 0"),
     "dataset-question-not-a-string": (load_dataset, "ds.json",
@@ -157,8 +164,16 @@ def test_load_dataset_skips_a_query_that_is_not_a_valid_graph(tmp_path, caplog):
     assert "not a vertex" in caplog.text
 
 
-def test_dataset_generator_matches_the_bundled_file():
-    assert read_json(data_dir() / "mini_dataset.json") == build_dataset_records()
+def test_the_bundled_dataset_has_the_fixture_shape():
+    path = data_dir() / "mini_dataset.json"
+    dataset = load_dataset(path)
+    assert len(read_json(path)) == len(dataset.pairs) == 40
+    assert dataset.skipped == 0
+    # seven common structures with 5 questions each, two rare ones with 3 and 2
+    counts = Counter(canonical_key(p.query) for p in dataset.pairs)
+    assert sorted(counts.values()) == [2, 3] + [5] * 7
+    assert all(len(p.mentions) == 1 for p in dataset.pairs)
+    assert build_dataset() == dataset.pairs
 
 
 # ---------------------------------------------------------------------------
