@@ -10,7 +10,7 @@ every current candidate, keeps results that are connected, small enough
 and score above the threshold, and the final output is the union of all
 rounds.
 
-The work per round is cut in three ways, none of which changes the
+The work per round is cut in four ways, none of which changes the
 output:
 
 * Restrictions first. Connectivity, the triple cap tau and the
@@ -35,10 +35,22 @@ output:
   input contains, so ``contained_frequent_keys`` is given those and
   tests only the others. The resulting containment pattern is scored
   exactly as ``rank_existing`` scores a mined structure.
+* Bounds before keys. Every union of two inputs contains the frequent
+  substructures that either input contains, so its score is at most U,
+  ``ranking.score_bound`` of those. Once a round has ``beam`` members,
+  let w be the last of its best ``beam`` (by score, then sort key); the
+  round's ``beam``-th best member only gets better from then on. A union
+  whose ``(-U, sort key)`` comes after w's ranks strictly behind it, so
+  it cannot make the beam. Hence a pair whose U is at most theta or
+  below w's score keys none of its unions, a pair whose U equals w's
+  score keys only unions with at most w's triple count (``merge_pair``'s
+  ``cap``), and a key new to the question that falls behind w is
+  neither decoded nor scored.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -55,7 +67,7 @@ from .canon import (
 )
 from .graph import AGG_RESULT, QueryGraph
 from .mining import SubstructureCatalog, contained_frequent_keys, graph_to_json
-from .ranking import MERGED, ScoredStructure, score_containment
+from .ranking import MERGED, ScoredStructure, score_bound, score_containment
 
 
 @dataclass(frozen=True)
@@ -73,6 +85,8 @@ class MergeConfig:
             raise ValueError("theta must be in [0, 1]")
         if self.tau < 1 or self.delta < 0:
             raise ValueError("bad tau/delta")
+        if self.beam < 1:
+            raise ValueError("beam must be >= 1")
 
 
 def passes_restrictions(g: QueryGraph, cfg: MergeConfig) -> bool:
@@ -126,7 +140,8 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
                max_shared_vertices: int = 2,
                max_shared_labels: int = 1,
                restrict: MergeConfig | None = None,
-               counts: Counter | None = None) -> Mapping[StructureKey, QueryGraph]:
+               counts: Counter | None = None,
+               cap: int | None = None) -> Mapping[StructureKey, QueryGraph]:
     """All structures obtainable by unifying up to ``max_shared_vertices``
     vertex pairs and ``max_shared_labels`` user-label pairs of the disjoint
     union of a and b, deduplicated by canonical key: each key maps to its
@@ -139,8 +154,11 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
     Without ``restrict`` the bare disjoint union is included. With it,
     only results that pass ``passes_restrictions(., restrict)`` are
     returned, and the others are rejected before canonicalization.
-    ``counts``, when given, has ``generated`` increased by the number of
-    unifications considered and ``failed_restrictions`` by those rejected.
+    With ``cap``, a union that passes them but has more than ``cap``
+    triples is not keyed either. ``counts``, when given, has
+    ``generated`` increased by the number of unifications considered,
+    ``failed_restrictions`` by those rejected and ``cut_by_bound`` by
+    those over the cap.
     """
     ca, cb = compile_graph(a), compile_graph(b)
     na = len(ca.colors)
@@ -164,7 +182,7 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
     connected = a.is_connected() and b.is_connected()
 
     found: dict[StructureKey, tuple[CodedGraph, list[int]]] = {}
-    generated = failed = 0
+    generated = failed = capped = 0
     for k in range(max_shared_vertices + 1):
         for combo in combinations(vertex_pairs, k):
             if not _injective(combo):
@@ -207,16 +225,20 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
                 if restrict is not None and len(triples) > restrict.tau:
                     failed += 1
                     continue
+                if cap is not None and len(triples) > cap:
+                    capped += 1
+                    continue
                 coded = CodedGraph(union_colors, parts, list(triples), nv)
                 key, best = canonicalize(coded)
                 found.setdefault(key, (coded, best))
     if counts is not None:
-        counts.update(generated=generated, failed_restrictions=failed)
+        counts.update(generated=generated, failed_restrictions=failed,
+                      cut_by_bound=capped)
     return _Unions(found)
 
 
-ROUND_COUNTS = ("generated", "failed_restrictions", "duplicates", "below_theta",
-                "cut_by_beam")
+ROUND_COUNTS = ("generated", "failed_restrictions", "cut_by_bound", "duplicates",
+                "below_theta", "cut_by_beam")
 
 
 def merge_substructures(probs: dict[StructureKey, float],
@@ -238,8 +260,12 @@ def merge_substructures(probs: dict[StructureKey, float],
     equals the sum of the other counts in ``ROUND_COUNTS`` plus the number
     of members. ``generated`` and ``failed_restrictions`` count
     unifications (``merge_pair``'s counts; in the seed round, frequent
-    substructures), ``duplicates`` those that gave a structure already
-    seen this round, and the rest distinct structures.
+    substructures). ``cut_by_bound`` counts the unions that the score
+    bound kept from being keyed and the new keys it kept from being
+    scored, one per union that gave them (another pair may give such a
+    key again). ``duplicates`` counts the other keyed unions whose
+    structure an earlier union of the round gave, and ``below_theta``
+    and ``cut_by_beam`` count distinct structures.
     """
     reps = {k: e.representative for k, e in catalog.substructures.items()}
     patterns = dict(catalog.containment)
@@ -277,24 +303,41 @@ def merge_substructures(probs: dict[StructureKey, float],
         counts = Counter()
         seen: set[StructureKey] = set()
         merged: dict[StructureKey, QueryGraph] = {}
+        # (-score, sort key) of the best ``beam`` members, best first
+        ranked: list[tuple] = []
         for skey in contained:
             for mkey in sorted(current, key=StructureKey.sort_key):
+                known = patterns[skey] | patterns[mkey]
+                bound = score_bound(known, probs, catalog)
+                # the member that a union must beat, once the beam is full
+                last = ranked[-1] if len(ranked) == cfg.beam else None
+                cap = None
+                if bound <= cfg.theta or (last is not None and -last[0] > bound):
+                    cap = 0
+                elif last is not None and -last[0] >= bound:
+                    cap = last[1][0]
                 candidates = merge_pair(reps[skey], current[mkey],
-                                        restrict=cfg, counts=counts)
+                                        restrict=cfg, counts=counts, cap=cap)
                 for ckey in candidates:
                     if ckey in seen:
                         continue
-                    seen.add(ckey)
                     if ckey not in scores:
+                        if len(ranked) == cfg.beam and ranked[-1] < (-bound, ckey.sort_key()):
+                            counts["cut_by_bound"] += 1
+                            continue
                         graphs[ckey] = candidates[ckey]
-                        patterns[ckey] = contained_frequent_keys(
-                            graphs[ckey], catalog, ckey, patterns[skey] | patterns[mkey])
+                        patterns[ckey] = contained_frequent_keys(graphs[ckey], catalog,
+                                                                 ckey, known)
                         scores[ckey] = score_containment(patterns[ckey], probs, catalog)
+                    seen.add(ckey)
                     if scores[ckey] > cfg.theta:
                         merged[ckey] = graphs[ckey]
+                        insort(ranked, (-scores[ckey], ckey.sort_key()))
+                        del ranked[cfg.beam:]
                     else:
                         counts["below_theta"] += 1
-        counts["duplicates"] = counts["generated"] - counts["failed_restrictions"] - len(seen)
+        counts["duplicates"] = (counts["generated"] - counts["failed_restrictions"]
+                                - counts["cut_by_bound"] - len(seen))
         if len(merged) > cfg.beam:
             counts["cut_by_beam"] = len(merged) - cfg.beam
             best_keys = sorted(merged, key=lambda k: (-scores[k], k.sort_key()))[:cfg.beam]

@@ -20,12 +20,13 @@ from __future__ import annotations
 import json
 import re
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from kbqg.evaluation import Dataset, make_folds, split_fold
-from kbqg.merging import MergeConfig, merge_substructures
+from kbqg.merging import ROUND_COUNTS, MergeConfig, merge_substructures
 from kbqg.mining import contained_frequent_keys, mine
 from kbqg.toydata import build_dataset
 
@@ -103,6 +104,25 @@ def test_oracle_merges_match_golden_exactly(golden, computed):
 def test_soft_merges_match_golden_exactly(golden, computed):
     for qid, expected in golden["soft_fold0"].items():
         assert computed["soft_fold0"][qid] == expected, qid
+
+
+def test_fold0_oracle_round_counts():
+    """The score bound saves keying and scoring, not enumeration: over
+    rounds 1-2 of the fold-0 questions, ``generated`` and
+    ``failed_restrictions`` count every unification considered."""
+    _fold, catalog, test_pairs = next(fold_catalogs())
+    totals = Counter()
+    for pair in test_pairs:
+        pattern = contained_frequent_keys(pair.query, catalog)
+        probs = {k: float(k in pattern) for k in catalog.substructures}
+        rounds = []
+        merge_substructures(probs, catalog, MergeConfig(), rounds_out=rounds)
+        for r in rounds[1:]:
+            decided = sum(r[name] for name in ROUND_COUNTS if name != "generated")
+            assert r["generated"] == decided + len(r["members"]), (pair.qid, r["round"])
+            totals.update({name: r[name] for name in ROUND_COUNTS})
+    assert (totals["generated"], totals["failed_restrictions"]) == (113_858, 99_752)
+    assert totals["cut_by_bound"] > 0
 
 
 def dump(doc: dict) -> str:

@@ -1,6 +1,7 @@
 """Property tests for the exact shortcuts the merger takes.
 
-The merger checks restrictions before canonicalizing, and
+The merger checks restrictions before canonicalizing, skips the unions
+that a score bound shows cannot make the beam, and
 ``contained_frequent_keys`` tests containment by embedding frequent
 substructures instead of enumerating every triple subset. Each shortcut
 is checked here against the plain computation it replaces.
@@ -9,12 +10,20 @@ is checked here against the plain computation it replaces.
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbqg.canon import canonical_key, is_substructure
-from kbqg.merging import MergeConfig, merge_pair, merge_substructures, passes_restrictions
+from kbqg.canon import StructureKey, canonical_key, is_substructure
+from kbqg.merging import (
+    ROUND_COUNTS,
+    MergeConfig,
+    merge_pair,
+    merge_substructures,
+    passes_restrictions,
+)
 from kbqg.mining import TrainingPair, contained_frequent_keys, enumerate_substructures, mine
+from kbqg.ranking import score_bound, score_containment
 
 from .graphgen import random_graph
 from .oracles import (
@@ -79,6 +88,25 @@ def test_restricted_merge_pair_is_filtered_merge_pair(seed_a, seed_b, tau, delta
     assert counts["generated"] - counts["failed_restrictions"] >= len(expected)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seeds, seeds, st.integers(1, 7), st.integers(0, 2), st.integers(0, 7))
+def test_capped_merge_pair_keeps_the_small_unions(seed_a, seed_b, tau, delta, cap):
+    a = random_graph(random.Random(seed_a), max_triples=3)
+    b = random_graph(random.Random(seed_b), max_triples=3)
+    cfg = MergeConfig(tau=tau, delta=delta)
+    counts, capped_counts = Counter(), Counter()
+    unions = merge_pair(a, b, restrict=cfg, counts=counts)
+    capped = merge_pair(a, b, restrict=cfg, counts=capped_counts, cap=cap)
+    expected = [(k, v) for k, v in unions.items() if k.triple_count <= cap]
+    assert list(capped.items()) == expected
+    assert (capped_counts["generated"], capped_counts["failed_restrictions"]) == \
+        (counts["generated"], counts["failed_restrictions"])
+    assert counts["cut_by_bound"] == 0
+    # each key over the cap stands for at least one union
+    assert capped_counts["cut_by_bound"] >= len(unions) - len(expected)
+    assert (capped_counts["cut_by_bound"] == 0) == (len(expected) == len(unions))
+
+
 def assert_merge_pair_matches_reference(a, b, cfg):
     counts = Counter()
     got = merge_pair(a, b, restrict=cfg, counts=counts)
@@ -125,3 +153,69 @@ def test_merging_matches_enumeration_reference(ps, theta, beam, k_max):
     cfg = MergeConfig(k_max=k_max, theta=theta, beam=beam)
     got = [(s.key.canonical, s.score) for s in merge_substructures(probs, _CATALOG, cfg)]
     assert got == reference_merge_substructures(probs, _CATALOG, cfg)
+
+
+def catalog_probabilities(catalog):
+    """Probabilities for the catalog's substructures: the 0/1 indicator
+    of a mined structure's containment pattern (as the oracle predicts
+    it, so that many merges tie at 1.0), or 0/1, near-0/1 or uniform
+    probabilities, or a mix."""
+    keys = sorted(catalog.substructures, key=StructureKey.sort_key)
+    patterns = [contained_frequent_keys(e.representative, catalog)
+                for e in catalog.structures.values()]
+    indicator = st.sampled_from(patterns).map(lambda pattern: [float(k in pattern)
+                                                                for k in keys])
+    zero_one = st.sampled_from([0.0, 1.0])
+    near = st.one_of(st.sampled_from([1e-7, 1.0 - 1e-7]), st.floats(0.0, 0.05),
+                     st.floats(0.95, 1.0))
+    uniform = st.floats(0.0, 1.0)
+    return st.one_of([indicator] + [
+        st.lists(p, min_size=len(keys), max_size=len(keys))
+        for p in (zero_one, near, uniform, st.one_of(zero_one, near, uniform))
+    ]).map(lambda ps: dict(zip(keys, ps)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_RANDOM_CATALOGS), st.data())
+def test_score_bound_is_the_best_score_of_any_containing_pattern(catalog, data):
+    keys = sorted(catalog.substructures, key=StructureKey.sort_key)
+    probs = data.draw(catalog_probabilities(catalog))
+    known = frozenset(data.draw(st.sets(st.sampled_from(keys))))
+    bound = score_bound(known, probs, catalog)
+    best = known | {k for k in keys if probs[k] >= 1.0 - probs[k]}
+    assert bound == score_containment(best, probs, catalog)
+    for _ in range(5):
+        pattern = known | data.draw(st.sets(st.sampled_from(keys)))
+        assert score_containment(pattern, probs, catalog) <= bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_RANDOM_CATALOGS), st.data(), st.integers(1, 4), st.integers(1, 2),
+       st.sampled_from([0.0, 0.3, 0.7]))
+def test_pruned_merging_matches_the_reference_on_random_catalogs(catalog, data, beam, k_max,
+                                                                 theta):
+    probs = data.draw(catalog_probabilities(catalog))
+    cfg = MergeConfig(k_max=k_max, theta=theta, beam=beam)
+    rounds = []
+    got = merge_substructures(probs, catalog, cfg, rounds_out=rounds)
+    assert [(s.key.canonical, s.score) for s in got] == \
+        reference_merge_substructures(probs, catalog, cfg)
+    for s in got:
+        assert reference_canonical_form(s.representative)[:2] == (s.key, s.representative)
+    for r in rounds:
+        decided = sum(r[name] for name in ROUND_COUNTS if name != "generated")
+        assert r["generated"] == decided + len(r["members"])
+
+
+@pytest.mark.parametrize("beam", [1, 2, 3, 4])
+def test_pruned_oracle_merging_matches_the_reference_for_every_mined_structure(beam):
+    # oracle probabilities tie many merges at 1.0, so sort keys decide the
+    # beam; that is where a pair whose bound equals the last member's
+    # score keys only its unions no larger than that member
+    cfg = MergeConfig(theta=0.0, beam=beam)
+    for catalog in _RANDOM_CATALOGS:
+        for entry in catalog.structures.values():
+            pattern = contained_frequent_keys(entry.representative, catalog)
+            probs = {k: float(k in pattern) for k in catalog.substructures}
+            got = [(s.key.canonical, s.score) for s in merge_substructures(probs, catalog, cfg)]
+            assert got == reference_merge_substructures(probs, catalog, cfg)

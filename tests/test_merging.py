@@ -97,6 +97,13 @@ def test_merge_config_validation():
         MergeConfig(tau=0)
 
 
+@pytest.mark.parametrize("beam", [0, -1])
+def test_merge_config_rejects_a_beam_below_one(beam):
+    # a beam of -1 would slice off all but one candidate, and 0 would keep none
+    with pytest.raises(ValueError, match="beam"):
+        MergeConfig(beam=beam)
+
+
 def merge_fixture():
     pairs, gold = build_merge_corpus()
     catalog = mine(pairs, 10)

@@ -11,7 +11,6 @@ from kbqg.predictor import (
     PredictorModel,
     TokenSequence,
     TrainConfig,
-    build_vocab,
     load_models,
     predict_all,
     preprocess,
