@@ -333,6 +333,16 @@ def _leaf_string(coded: CodedGraph, colors: list[int]) -> str:
     return "|".join([parts[order[c]] for c in range(nv)]) + "//" + ";".join(tparts)
 
 
+def key_prefix(parts) -> str:
+    """The start of the canonical string of every graph whose atoms have
+    these leaf parts (None for a label): its vertex parts in sorted order.
+
+    Initial colours rank the vertices by part, refinement ranks by old
+    colour first and individualization keeps the order of cells, so the
+    vertex of colour c has the c-th least part in every leaf."""
+    return "|".join(sorted(part for part in parts if part is not None)) + "//"
+
+
 def canonicalize(coded: CodedGraph) -> tuple[StructureKey, list[int]]:
     """The key, and the colouring of the first leaf that gives it (the
     input of ``representative``): refine, then individualize each atom of

@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 import warnings
+from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
@@ -86,8 +87,8 @@ def _load_inputs(args):
     return dataset, kb, linker
 
 
-def _pipeline_config(args, **overrides):
-    cfg = dict(
+def _pipeline_config(args):
+    return PipelineConfig(
         gamma=args.gamma,
         merge=MergeConfig(k_max=args.K, theta=args.theta, tau=args.tau,
                           delta=args.delta),
@@ -101,8 +102,6 @@ def _pipeline_config(args, **overrides):
         setting=args.setting, predictor=args.predictor, linking=args.linking,
         dev_policy=args.dev_policy,
     )
-    cfg.update(overrides)
-    return PipelineConfig(**cfg)
 
 
 def cmd_mine(args):
@@ -118,7 +117,7 @@ def cmd_train(args):
     dataset = _load_dataset(args)
     catalog = load_catalog(args.catalog) if args.catalog else mine(dataset.pairs,
                                                                    args.gamma)
-    cfg = _pipeline_config(args).train
+    cfg = args.config.train
     models = train(dataset.pairs, catalog, cfg)
     save_models(models, args.out, cfg)
     # a constant model (degenerate labels) has a NaN accuracy, which
@@ -135,7 +134,7 @@ def cmd_generate(args):
     dataset, kb, linker = _load_inputs(args)
     catalog = load_catalog(args.catalog) if args.catalog else mine(dataset.pairs,
                                                                    args.gamma)
-    config = _pipeline_config(args)
+    config = args.config
     models, classifier = {}, None
     if config.setting == "rank-wo-sub":
         classifier = train_structure_classifier(dataset.pairs, catalog, config.train)
@@ -186,8 +185,7 @@ def _print_report(report):
 def cmd_eval(args):
     warnings.filterwarnings("ignore", category=UserWarning)
     dataset, kb, linker = _load_inputs(args)
-    config = _pipeline_config(args)
-    report = run_pipeline(dataset, kb, config, linker)
+    report = run_pipeline(dataset, kb, args.config, linker)
     _print_report(report)
     if args.report:
         write_json(args.report, report.to_json())
@@ -199,8 +197,8 @@ def cmd_ablate(args):
     dataset, kb, linker = _load_inputs(args)
     reports = {}
     for setting in SETTINGS:
-        config = _pipeline_config(args, setting=setting)
-        reports[setting] = run_pipeline(dataset, kb, config, linker)
+        reports[setting] = run_pipeline(dataset, kb, replace(args.config, setting=setting),
+                                        linker)
     print(f"{'setting':18s} {'F1':>14s} {'P@1':>14s} {'P@5':>14s}")
     for setting, report in reports.items():
         f1m, f1s = report.f1
@@ -215,10 +213,10 @@ def cmd_ablate(args):
 def cmd_noisy(args):
     warnings.filterwarnings("ignore", category=UserWarning)
     dataset, kb, linker = _load_inputs(args)
-    clean = run_pipeline(dataset, kb, _pipeline_config(args), linker)
+    clean = run_pipeline(dataset, kb, args.config, linker)
     noisy = run_pipeline(dataset, kb,
-                         _pipeline_config(args, distractors=args.distractors,
-                                          distractor_factor=args.factor),
+                         replace(args.config, distractors=args.distractors,
+                                 distractor_factor=args.factor),
                          linker)
     print(f"{'run':8s} {'P@1':>14s} {'P@5':>14s}")
     for label, rep in (("clean", clean), ("noisy", noisy)):
@@ -282,6 +280,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if getattr(args, "models", None) and args.setting == "rank-wo-sub":
         parser.error("--models cannot be used with --setting rank-wo-sub")
+    if args.predictor == "oracle" and args.command in ("train", "generate"):
+        parser.error(f"--predictor oracle reads gold queries, which {args.command} "
+                     "does not have; use eval, ablate or noisy-linking")
+    if args.command != "mine":
+        # checked before any input is read
+        try:
+            args.config = _pipeline_config(args)
+        except ValueError as err:
+            parser.error(str(err))
     return args.func(args)
 
 

@@ -42,10 +42,14 @@ output:
   round's ``beam``-th best member only gets better from then on. A union
   whose ``(-U, sort key)`` comes after w's ranks strictly behind it, so
   it cannot make the beam. Hence a pair whose U is at most theta or
-  below w's score keys none of its unions, a pair whose U equals w's
-  score keys only unions with at most w's triple count (``merge_pair``'s
-  ``cap``), and a key new to the question that falls behind w is
-  neither decoded nor scored.
+  below w's score keys none of its unions, and a key new to the question
+  that falls behind w is neither decoded nor scored. A pair whose U
+  equals w's score keys only the unions that may sort before w
+  (``merge_pair``'s ``last``). The canonical search never moves an atom
+  out of its initial cell, so a key starts with its vertex parts in
+  sorted order (``canon.key_prefix``), known before any search: a union
+  with more triples than w, or as many and a prefix that sorts after
+  the start of w's string, sorts after w and is not canonicalized.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ from .canon import (
     canonicalize,
     compile_graph,
     initial_colors,
+    key_prefix,
     representative,
 )
 from .graph import AGG_RESULT, QueryGraph
@@ -141,7 +146,7 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
                max_shared_labels: int = 1,
                restrict: MergeConfig | None = None,
                counts: Counter | None = None,
-               cap: int | None = None) -> Mapping[StructureKey, QueryGraph]:
+               last: tuple[int, str] | None = None) -> Mapping[StructureKey, QueryGraph]:
     """All structures obtainable by unifying up to ``max_shared_vertices``
     vertex pairs and ``max_shared_labels`` user-label pairs of the disjoint
     union of a and b, deduplicated by canonical key: each key maps to its
@@ -154,11 +159,15 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
     Without ``restrict`` the bare disjoint union is included. With it,
     only results that pass ``passes_restrictions(., restrict)`` are
     returned, and the others are rejected before canonicalization.
-    With ``cap``, a union that passes them but has more than ``cap``
-    triples is not keyed either. ``counts``, when given, has
+    With ``last``, the sort key ``(n, L)`` of a structure w, a union
+    that passes them is not keyed either when its key must sort after
+    w's: when it has t triples and ``(t, P) > (n, L[:len(P)])``, where P
+    is ``canon.key_prefix`` of its atoms' parts, the start of its key.
+    Every key of at most w's sort key is still returned, so
+    ``last=(0, "")`` keys nothing. ``counts``, when given, has
     ``generated`` increased by the number of unifications considered,
     ``failed_restrictions`` by those rejected and ``cut_by_bound`` by
-    those over the cap.
+    those not keyed for ``last``.
     """
     ca, cb = compile_graph(a), compile_graph(b)
     na = len(ca.colors)
@@ -212,6 +221,12 @@ def merge_pair(a: QueryGraph, b: QueryGraph,
                         + [(index[s], index[o]) for s, _p, o in b_users]))):
                 failed += len(label_combos)
                 continue
+            # the most triples a union keyed here may have: the vertex
+            # parts, and so the key prefix, do not depend on the labels
+            cap = None
+            if last is not None:
+                prefix = key_prefix(vertex_parts)
+                cap = last[0] - (prefix > last[1][:len(prefix)])
             nv = ca.nv + cb.nv - k
             for lcombo in label_combos:
                 lindex = {j: i for i, j in lcombo}
@@ -310,14 +325,14 @@ def merge_substructures(probs: dict[StructureKey, float],
                 known = patterns[skey] | patterns[mkey]
                 bound = score_bound(known, probs, catalog)
                 # the member that a union must beat, once the beam is full
-                last = ranked[-1] if len(ranked) == cfg.beam else None
-                cap = None
-                if bound <= cfg.theta or (last is not None and -last[0] > bound):
-                    cap = 0
-                elif last is not None and -last[0] >= bound:
-                    cap = last[1][0]
+                w = ranked[-1] if len(ranked) == cfg.beam else None
+                last = None
+                if bound <= cfg.theta or (w is not None and -w[0] > bound):
+                    last = (0, "")
+                elif w is not None and -w[0] >= bound:
+                    last = w[1]
                 candidates = merge_pair(reps[skey], current[mkey],
-                                        restrict=cfg, counts=counts, cap=cap)
+                                        restrict=cfg, counts=counts, last=last)
                 for ckey in candidates:
                     if ckey in seen:
                         continue

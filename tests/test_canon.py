@@ -9,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbqg import canon
+from kbqg import canon, merging
 from kbqg.canon import (
     CanonicalizationError,
     canonical_form,
     canonical_key,
+    canonicalize,
+    compile_graph,
     find_embedding,
     find_isomorphism,
     is_equivalent,
     is_substructure,
+    key_prefix,
 )
 from kbqg.graph import (
     AGG_RESULT,
@@ -359,6 +362,30 @@ def test_every_merge_union_is_keyed_as_the_reference_keys_it(seed_x, seed_y):
         ref_key, ref_rep, _leaves = reference_canonical_form(union)
         assert (ref_key, ref_rep) == (key, union)
         assert_matches_reference(union)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_every_key_starts_with_its_sorted_vertex_parts(seed):
+    # the prefix that lets a merge skip a union sorting after the beam
+    rng = random.Random(seed)
+    g = random_graph(rng, max_triples=6)
+    coded = [compile_graph(h) for h in (g, relabeled_copy(g, rng), symmetric_graph(rng),
+                                        offset_graph(rng))]
+    keys = [canonicalize(c)[0] for c in coded]
+    real = merging.canonicalize
+
+    def recorded(union):
+        result = real(union)
+        coded.append(union)
+        keys.append(result[0])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(merging, "canonicalize", recorded)
+        merge_pair(random_graph(rng, max_triples=3), offset_graph(rng))
+    for c, key in zip(coded, keys, strict=True):
+        assert key.canonical.startswith(key_prefix(c.parts)), key.canonical
 
 
 def test_matching_leaves_no_cyclic_garbage():

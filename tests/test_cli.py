@@ -162,6 +162,22 @@ def test_eval_oracle_single_fold(tmp_path, capsys):
     assert doc["aggregate"]["f1_mean"] > 0.9
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--predictor", "oracle"], "--predictor oracle reads gold queries"),
+    (["generate", "--predictor", "oracle", "who directed Jaws?"],
+     "--predictor oracle reads gold queries"),
+    (["eval", "--K", "0"], "k_max must be >= 1"),
+    (["train", "--d-e", "0"], "dimensions must be positive"),
+], ids=["train-oracle", "generate-oracle", "eval-K-0", "train-d-e-0"])
+def test_flags_that_cannot_be_honoured_are_usage_errors(tmp_path, capsys, argv, message):
+    # a missing KB shows that the flags are checked before any input is read
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--gamma", "2", "--epochs", "1", "--kb", str(tmp_path / "missing.tsv"),
+                     "--dataset", str(tmp_path / "missing.json")])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_noisy_linking_command(tmp_path, capsys):
     main(["noisy-linking", "--gamma", "2", "--predictor", "bow",
           "--dev-policy", "stratified", "--setting", "rank-w-sub",

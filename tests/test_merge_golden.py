@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from kbqg import merging
 from kbqg.evaluation import Dataset, make_folds, split_fold
 from kbqg.merging import ROUND_COUNTS, MergeConfig, merge_substructures
 from kbqg.mining import contained_frequent_keys, mine
@@ -106,12 +107,22 @@ def test_soft_merges_match_golden_exactly(golden, computed):
         assert computed["soft_fold0"][qid] == expected, qid
 
 
-def test_fold0_oracle_round_counts():
+def test_fold0_oracle_round_counts(monkeypatch):
     """The score bound saves keying and scoring, not enumeration: over
     rounds 1-2 of the fold-0 questions, ``generated`` and
-    ``failed_restrictions`` count every unification considered."""
+    ``failed_restrictions`` count every unification considered, and
+    ``merge_pair`` canonicalizes only the unions that may make the beam."""
     _fold, catalog, test_pairs = next(fold_catalogs())
+    canonicalized = Counter()
+    real = merging.canonicalize
+
+    def counted(coded):
+        canonicalized["unions"] += 1
+        return real(coded)
+
+    monkeypatch.setattr(merging, "canonicalize", counted)
     totals = Counter()
+    members = 0
     for pair in test_pairs:
         pattern = contained_frequent_keys(pair.query, catalog)
         probs = {k: float(k in pattern) for k in catalog.substructures}
@@ -121,8 +132,12 @@ def test_fold0_oracle_round_counts():
             decided = sum(r[name] for name in ROUND_COUNTS if name != "generated")
             assert r["generated"] == decided + len(r["members"]), (pair.qid, r["round"])
             totals.update({name: r[name] for name in ROUND_COUNTS})
-    assert (totals["generated"], totals["failed_restrictions"]) == (113_858, 99_752)
-    assert totals["cut_by_bound"] > 0
+            members += len(r["members"])
+    assert dict(totals) == {"generated": 113_858, "failed_restrictions": 99_752,
+                            "cut_by_bound": 10_235, "duplicates": 2_389,
+                            "below_theta": 0, "cut_by_beam": 319}
+    assert members == 1_163
+    assert canonicalized["unions"] <= 4_149
 
 
 def dump(doc: dict) -> str:

@@ -89,22 +89,35 @@ def test_restricted_merge_pair_is_filtered_merge_pair(seed_a, seed_b, tau, delta
 
 
 @settings(max_examples=150, deadline=None)
-@given(seeds, seeds, st.integers(1, 7), st.integers(0, 2), st.integers(0, 7))
-def test_capped_merge_pair_keeps_the_small_unions(seed_a, seed_b, tau, delta, cap):
+@given(seeds, seeds, st.integers(1, 7), st.integers(0, 2), seeds)
+def test_merge_pair_with_last_keeps_every_union_that_may_sort_first(seed_a, seed_b, tau,
+                                                                    delta, seed_last):
     a = random_graph(random.Random(seed_a), max_triples=3)
     b = random_graph(random.Random(seed_b), max_triples=3)
     cfg = MergeConfig(tau=tau, delta=delta)
-    counts, capped_counts = Counter(), Counter()
+    counts = Counter()
     unions = merge_pair(a, b, restrict=cfg, counts=counts)
-    capped = merge_pair(a, b, restrict=cfg, counts=capped_counts, cap=cap)
-    expected = [(k, v) for k, v in unions.items() if k.triple_count <= cap]
-    assert list(capped.items()) == expected
-    assert (capped_counts["generated"], capped_counts["failed_restrictions"]) == \
-        (counts["generated"], counts["failed_restrictions"])
     assert counts["cut_by_bound"] == 0
-    # each key over the cap stands for at least one union
-    assert capped_counts["cut_by_bound"] >= len(unions) - len(expected)
-    assert (capped_counts["cut_by_bound"] == 0) == (len(expected) == len(unions))
+    lasts = [(0, "")] + [key.sort_key() for key in unions]
+    for last in [lasts[0], random.Random(seed_last).choice(lasts)]:
+        last_counts = Counter()
+        kept = merge_pair(a, b, restrict=cfg, counts=last_counts, last=last)
+        # a key's unions share its triple count and prefix, so each key is
+        # kept or cut whole, and keeps its first union's representative
+        assert list(kept.items()) == [(k, v) for k, v in unions.items() if k in kept]
+        assert {k for k in unions if k.sort_key() <= last} <= set(kept)
+        n, canonical = last
+        for key in kept:
+            if key.sort_key() > last:
+                prefix = key.canonical[:key.canonical.index("//") + 2]
+                assert key.triple_count == n and canonical.startswith(prefix)
+        assert (last_counts["generated"], last_counts["failed_restrictions"]) == \
+            (counts["generated"], counts["failed_restrictions"])
+        # each key cut stands for at least one union
+        assert last_counts["cut_by_bound"] >= len(unions) - len(kept)
+        assert (last_counts["cut_by_bound"] == 0) == (len(kept) == len(unions))
+        if last == (0, ""):
+            assert not kept
 
 
 def assert_merge_pair_matches_reference(a, b, cfg):
