@@ -9,14 +9,14 @@ domain/range check, and a non-empty execution.
 
 from kbqg.canon import canonical_key
 from kbqg.grounding import LinkingCandidate, ground, validate_grammar
-from kbqg.kb import execute
+from kbqg.kb import TYPE_KEY, execute
 from kbqg.ranking import EXISTING, ScoredStructure
 from kbqg.sparql import parse_query, serialize_query
 from kbqg.toydata import build_gazetteer, build_kb
 
 kb = build_kb()
-print(f"toy KB: {kb.fact_count} facts, "
-      f"{len(kb.types)} typed symbols, schema with {len(kb.schema.domains)} domains")
+print(f"toy KB: {kb.fact_count} facts, {len(kb.objects[TYPE_KEY])} typed symbols, "
+      f"schema with {len(kb.schema.domains)} domains")
 
 # direct execution
 q = parse_query("SELECT ?f WHERE { ?f :director :S_Kubrick . ?f :runtime ?r } "

@@ -287,10 +287,7 @@ def ground(ranked_structures: list[ScoredStructure],
                     continue
                 if answers.is_empty:
                     continue
-                try:
-                    dedupe = serialize_query(grounded)
-                except ValueError:
-                    dedupe = str(grounded)
+                dedupe = serialize_query(grounded)
                 if dedupe in seen_queries:
                     continue
                 seen_queries.add(dedupe)
@@ -393,13 +390,20 @@ class DictionaryLinker:
 
     @classmethod
     def from_file(cls, path) -> "DictionaryLinker":
-        """TSV gazetteer: surface <tab> kind <tab> symbol."""
+        """TSV gazetteer: surface <tab> kind <tab> symbol, with a kind in
+        ``LINK_KINDS`` and a non-blank surface and symbol."""
         linker = cls()
         for lineno, parts in read_rows(path):
             if len(parts) != 3:
                 raise InputError(path, lineno, "expected 3 tab-separated fields, "
                                  f"got {len(parts)}")
-            linker.add(*parts)
+            surface, kind, symbol = parts
+            if kind not in LINK_KINDS:
+                raise InputError(path, lineno, f"unknown kind {kind!r}, "
+                                 f"expected one of {', '.join(LINK_KINDS)}")
+            if not surface.strip() or not symbol.strip():
+                raise InputError(path, lineno, "empty surface or symbol")
+            linker.add(surface, kind, symbol)
         return linker
 
     def link(self, question: str) -> tuple[list[tuple[int, int]], list[LinkingCandidate]]:

@@ -1,12 +1,15 @@
 """In-memory knowledge base: fact storage, schema metadata and a query
 executor for the supported query-graph semantics.
 
+Facts live in two nested maps, ``objects[p][s]`` and ``subjects[p][o]``,
+with rdf:type as one more property, stored under ``TYPE_KEY``.
+
 The KB file format is UTF-8, one tab-separated ``subject property object``
 triple per line, with ``a`` accepted as shorthand for rdf:type; a line
-with any other number of tabs is rejected. Blank lines and lines starting
-with ``#`` are skipped. The optional schema file
-holds lines ``domain <prop> <class>``, ``range <prop> <class>`` and
-``disjoint <class> <class>``.
+with any other number of tabs, or with an empty field, is rejected.
+Blank lines and lines starting with ``#`` are skipped. The optional
+schema file holds lines ``domain <prop> <class>``, ``range <prop> <class>``
+and ``disjoint <class> <class>``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ from .graph import (
 from .io import InputError, read_rows
 
 RDF_TYPE_SHORTHAND = "a"
+#: the fact maps' key for rdf:type: the ISA label's ``name``, which no
+#: user-defined property name can equal
+TYPE_KEY = None
 
 
 class NonNumericAggregateError(ValueError):
@@ -68,40 +74,30 @@ class Schema:
 
 @dataclass
 class KnowledgeBase:
-    """Immutable-after-load fact store with property-centric indexes and a
-    class index (``members``: class -> its entities)."""
+    """Immutable-after-load fact store: ``objects[p][s]`` -> the objects
+    and ``subjects[p][o]`` -> the subjects of ``p``'s facts."""
 
-    facts: set[tuple[str, str, str]] = field(default_factory=set)
-    types: dict[str, set[str]] = field(default_factory=dict)
+    objects: dict[str | None, dict[str, set[str]]] = field(default_factory=dict)
+    subjects: dict[str | None, dict[str, set[str]]] = field(default_factory=dict)
     schema: Schema = field(default_factory=Schema)
-    by_property: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
-    subjects_by_po: dict[tuple[str, str], set[str]] = field(default_factory=dict)
-    objects_by_ps: dict[tuple[str, str], set[str]] = field(default_factory=dict)
-    members: dict[str, set[str]] = field(default_factory=dict)
 
     def add_fact(self, s: str, p: str, o: str) -> None:
-        if p == RDF_TYPE_SHORTHAND:
-            self.types.setdefault(s, set()).add(o)
-            self.members.setdefault(o, set()).add(s)
-            return
-        if (s, p, o) in self.facts:
-            return
-        self.facts.add((s, p, o))
-        self.by_property.setdefault(p, []).append((s, o))
-        self.subjects_by_po.setdefault((p, o), set()).add(s)
-        self.objects_by_ps.setdefault((p, s), set()).add(o)
+        p = TYPE_KEY if p == RDF_TYPE_SHORTHAND else p
+        self.objects.setdefault(p, {}).setdefault(s, set()).add(o)
+        self.subjects.setdefault(p, {}).setdefault(o, set()).add(s)
 
     def classes_of(self, entity: str) -> set[str]:
-        return self.types.get(entity, set())
+        return self.objects.get(TYPE_KEY, {}).get(entity, set())
 
     def entities_of_class(self, cls: str) -> set[str]:
-        """The entities typed ``cls``: the class index's own set, which
-        callers must not modify."""
-        return self.members.get(cls, set())
+        """The entities typed ``cls``: the index's own set, which callers
+        must not modify."""
+        return self.subjects.get(TYPE_KEY, {}).get(cls, set())
 
     @property
     def fact_count(self) -> int:
-        return len(self.facts) + sum(len(v) for v in self.types.values())
+        return sum(len(objects) for by_subject in self.objects.values()
+                   for objects in by_subject.values())
 
 
 def load_kb(path, schema_path=None) -> KnowledgeBase:
@@ -119,6 +115,8 @@ def load_kb(path, schema_path=None) -> KnowledgeBase:
             if len(parts) != 3:
                 raise InputError(path, lineno, "expected 3 tab-separated fields, "
                                  f"got {len(parts)}")
+            if "" in parts:
+                raise InputError(path, lineno, "empty subject, property or object")
             kb.add_fact(*parts)
     finally:
         if gc_was_enabled:
@@ -207,13 +205,14 @@ def _solutions(q: QueryGraph, kb: KnowledgeBase) -> list[dict[str, str]]:
     At each step the join extends with the remaining triple whose index
     entry, looked up under the current binding, is smallest (lowest
     position on ties), and iterates that entry as it is: no candidate
-    list is built or sorted. The entries are ``objects_by_ps``,
-    ``subjects_by_po``, ``by_property``, ``members`` and ``classes_of``
-    (``types``, sized by its entities, for an ISA triple free at both
-    ends); a fully bound triple is a 0/1 membership test. The solutions
-    therefore come in no fixed order, and nothing downstream depends on
-    one: set answers are a frozenset, aggregates run over distinct
-    values, and MAXATN/MINATN sort the rows by (value, full sorted row).
+    list is built or sorted. The entries are ``objects[p][s]``,
+    ``subjects[p][o]`` and ``objects[p]`` (sized by its subjects, for a
+    triple free at both ends), where an ISA triple's ``p`` is its label
+    name, ``TYPE_KEY``; a fully bound triple is a 0/1 membership test. The
+    solutions therefore come in no fixed order, and nothing downstream
+    depends on one: set answers are a frozenset, aggregates run over
+    distinct values, and MAXATN/MINATN sort the rows by (value, full
+    sorted row).
     """
     pattern = _pattern_triples(q)
     if not pattern:
@@ -225,9 +224,9 @@ def _solutions(q: QueryGraph, kb: KnowledgeBase) -> list[dict[str, str]]:
             return None, vid
         return v.surface, vid
 
-    # (ISA?, property, subject const, subject vid, object const, object vid)
-    plan = [(t.label.is_builtin, t.label.name, *term(t.subject), *term(t.object))
-            for t in pattern]
+    # (objects[p], subjects[p], subject const, subject vid, object const, object vid)
+    plan = [(kb.objects.get(t.label.name, {}), kb.subjects.get(t.label.name, {}),
+             *term(t.subject), *term(t.object)) for t in pattern]
     solutions: list[dict[str, str]] = []
 
     def entry(step, binding: dict[str, str]):
@@ -235,22 +234,15 @@ def _solutions(q: QueryGraph, kb: KnowledgeBase) -> list[dict[str, str]]:
         items bind: "s" or "o" (that end's values), "so" (both ends) or
         "" (nothing: the triple is fully bound, and the entry has one
         item if it holds, none otherwise)."""
-        isa, p, sconst, svid, oconst, ovid = step
+        by_subject, by_object, sconst, svid, oconst, ovid = step
         s = sconst if sconst is not None else binding.get(svid)
         o = oconst if oconst is not None else binding.get(ovid)
-        if isa:
-            if s is not None:
-                classes = kb.classes_of(s)
-                return (classes, "o") if o is None else (_HOLDS if o in classes else (), "")
-            if o is not None:
-                return kb.entities_of_class(o), "s"
-            return kb.types, "so"   # entity -> classes
         if s is not None:
-            objects = kb.objects_by_ps.get((p, s), ())
+            objects = by_subject.get(s, ())
             return (objects, "o") if o is None else (_HOLDS if o in objects else (), "")
         if o is not None:
-            return kb.subjects_by_po.get((p, o), ()), "s"
-        return kb.by_property.get(p, ()), "so"
+            return by_object.get(o, ()), "s"
+        return by_subject, "so"
 
     def extend(remaining: list, binding: dict[str, str]) -> None:
         if not remaining:
@@ -264,7 +256,7 @@ def _solutions(q: QueryGraph, kb: KnowledgeBase) -> list[dict[str, str]]:
             if best is None or len(found) < len(best[1]):
                 best = (i, found, ends)
         idx, found, ends = best
-        isa, _, _, svid, _, ovid = remaining[idx]
+        _, _, _, svid, _, ovid = remaining[idx]
         rest = remaining[:idx] + remaining[idx + 1:]
         if ends == "":
             extend(rest, binding)
@@ -275,13 +267,13 @@ def _solutions(q: QueryGraph, kb: KnowledgeBase) -> list[dict[str, str]]:
                 extend(rest, binding)
             del binding[vid]
         else:
-            pairs = ((e, c) for e, cs in found.items() for c in cs) if isa else found
-            for s, o in pairs:
-                if svid == ovid and s != o:
-                    continue
-                binding[svid] = s
-                binding[ovid] = o
-                extend(rest, binding)
+            for s, objects in found.items():
+                for o in objects:
+                    if svid == ovid and s != o:
+                        continue
+                    binding[svid] = s
+                    binding[ovid] = o
+                    extend(rest, binding)
             binding.pop(svid, None)
             binding.pop(ovid, None)
 

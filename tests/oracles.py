@@ -124,17 +124,20 @@ def oracle_is_substructure(a: QueryGraph, b: QueryGraph) -> bool:
 # executor oracle
 
 
-def oracle_execute_pattern(q: QueryGraph, kb) -> set[str]:
+def oracle_execute_pattern(q: QueryGraph, facts) -> set[str]:
     """Naive cartesian-product join over per-triple fact lists for an
-    aggregate-free query; returns the target's bindings."""
+    aggregate-free query; returns the target's bindings. ``facts`` are the
+    raw ``(subject, property, object)`` rows the KB was built from, where
+    property ``a`` is rdf:type, so the join reads nothing of the KB."""
     pattern = [t for t in q.triples if not t.label.is_builtin or t.label.builtin == ISA]
+    facts = set(facts)   # a repeated row is one fact
     per_triple = []
     for t in pattern:
         if t.label.is_builtin:
-            facts = [(e, c) for e, cs in kb.types.items() for c in cs]
+            rows = [(s, o) for (s, p, o) in facts if p == "a"]
         else:
-            facts = [(s, o) for (s, p, o) in kb.facts if p == t.label.name]
-        per_triple.append(facts)
+            rows = [(s, o) for (s, p, o) in facts if p == t.label.name != "a"]
+        per_triple.append(rows)
 
     def term(vid):
         v = q.vertex_by_id[vid]

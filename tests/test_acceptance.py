@@ -262,14 +262,14 @@ def test_criterion_10_executor_against_nested_loop_oracle():
     attempts = 0
     while instances < 200 and attempts < 1200:
         attempts += 1
-        kb = KnowledgeBase()
         symbols = [f":s{i}" for i in range(rng.randint(6, 14))]
         n_facts = rng.randint(20, 1000)
-        for _ in range(n_facts):
-            kb.add_fact(rng.choice(symbols), f":p{rng.randint(0, 3)}",
-                        rng.choice(symbols))
-        for s in symbols[: len(symbols) // 2]:
-            kb.add_fact(s, "a", f":C{rng.randint(0, 1)}")
+        facts = [(rng.choice(symbols), f":p{rng.randint(0, 3)}", rng.choice(symbols))
+                 for _ in range(n_facts)]
+        facts += [(s, "a", f":C{rng.randint(0, 1)}") for s in symbols[: len(symbols) // 2]]
+        kb = KnowledgeBase()
+        for fact in facts:
+            kb.add_fact(*fact)
         g = random_graph(rng, max_triples=3)
         if g.aggregation_count or g.target is None:
             continue
@@ -290,7 +290,7 @@ def test_criterion_10_executor_against_nested_loop_oracle():
             got = execute(g, kb).values
         except UnboundTargetError:
             continue
-        assert got == frozenset(oracle_execute_pattern(g, kb))
+        assert got == frozenset(oracle_execute_pattern(g, facts))
         instances += 1
     assert instances == 200
 

@@ -40,10 +40,19 @@ MENTION_SURFACE_MISMATCH = dict(GOOD_RECORD, mentions=[{"start": 13, "end": 17,
 MALFORMED = {
     "kb-two-fields": (load_kb, "kb.tsv", ":a\t:p\t:b\nonly\ttwo\n", 2),
     "kb-not-utf8": (load_kb, "kb.tsv", b":a\t:p\t:b\n:c\t:p\t:d\n:\xff\t:p\t:e\n", 3),
+    "kb-empty-subject": (load_kb, "kb.tsv", ":a\t:p\t:b\n\t:p\t:o\n", 2),
+    "kb-empty-property": (load_kb, "kb.tsv", ":s\t\t:o\n", 1),
+    "kb-empty-object": (load_kb, "kb.tsv", ":a\ta\t:C\n:s\t:p\t\n", 2),
     "schema-bad-kind": (load_schema, "schema.txt", "# c\ndomain :p :C\nsubclass :C :D\n", 3),
     "schema-two-fields": (load_schema, "schema.txt", "range :p\n", 1),
     "gazetteer-two-fields": (DictionaryLinker.from_file, "gaz.tsv",
                              "jaws\tentity\t:Jaws\njaws :Jaws\n", 2),
+    "gazetteer-unknown-kind": (DictionaryLinker.from_file, "gaz.tsv",
+                               "jaws\tentity\t:Jaws\nkubrick\tentitty\t:S_Kubrick\n", 2),
+    "gazetteer-empty-surface": (DictionaryLinker.from_file, "gaz.tsv",
+                                "\tentity\t:T_Burton\n", 1),
+    "gazetteer-empty-symbol": (DictionaryLinker.from_file, "gaz.tsv",
+                               "# c\njaws\tentity\t\n", 2),
     "dataset-syntax": (load_dataset, "ds.json", '[\n {"question": "q",\n "sparql" "x"}\n]', 3),
     "dataset-nested-too-deep": (load_dataset, "ds.json", "[" * 100_000 + "]" * 100_000, 1),
     "dataset-integer-too-long": (load_dataset, "ds.json", "[" + "9" * 5000 + "]", 1),

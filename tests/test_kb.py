@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from kbqg.graph import LITERAL, Triple, VARIABLE, Vertex, build_graph, user
-from kbqg.io import InputError
+from kbqg.graph import ISA, LITERAL, Triple, VARIABLE, Vertex, build_graph, builtin, user
+from kbqg.io import InputError, read_rows
 from kbqg.kb import (
     AnswerSet,
     KnowledgeBase,
@@ -41,7 +41,7 @@ def test_load_kb_counts_and_types(tmp_path):
     path.write_text(":a\t:p\t:b\n:a\t:p\t:c\n:a\ta\t:C\n:a\t:p\t:b\n"
                     "# comment\n:d\t:q\t:e\n", encoding="utf-8")
     kb = load_kb(path)
-    assert len(kb.facts) == 3  # duplicate collapsed
+    assert kb.fact_count == 4  # duplicate collapsed; the type fact counts
     assert kb.classes_of(":a") == {":C"}
 
 
@@ -78,20 +78,24 @@ def test_load_kb_leaves_gc_state_as_it_was(tmp_path, enabled):
 
 
 def test_class_index_matches_types():
-    kb = load_kb(data_dir() / "toy_kb.tsv")
+    path = data_dir() / "toy_kb.tsv"
+    kb = load_kb(path)
+    types = {tuple(parts) for _, parts in read_rows(path) if parts[1] == "a"}
 
     def by_scan(cls):
-        return {e for e, cs in kb.types.items() if cls in cs}
+        return {e for e, _, c in types if c == cls}
 
-    classes = {c for cs in kb.types.values() for c in cs}
+    classes = {c for _, _, c in types}
     assert classes
     for cls in classes:
         assert kb.entities_of_class(cls) == by_scan(cls)
     cls = sorted(classes)[0]
     member = sorted(kb.entities_of_class(cls))[0]
-    kb.add_fact(":New_Entity", "a", cls)
-    kb.add_fact(member, "a", cls)       # a repeated type fact
-    kb.add_fact(":New_Entity", "a", ":New_Class")
+    added = [(":New_Entity", "a", cls), (member, "a", cls),   # a repeated type fact
+             (":New_Entity", "a", ":New_Class")]
+    for fact in added:
+        kb.add_fact(*fact)
+    types.update(added)
     for c in classes | {":New_Class"}:
         assert kb.entities_of_class(c) == by_scan(c)
     assert ":New_Entity" in kb.entities_of_class(cls)
@@ -186,12 +190,13 @@ def test_unbound_target():
 
 def test_execute_agrees_with_nested_loop_oracle():
     rng = random.Random(99)
-    kb = KnowledgeBase()
     symbols = [f":s{i}" for i in range(12)]
-    for _ in range(300):
-        kb.add_fact(rng.choice(symbols), f":p{rng.randint(0, 2)}", rng.choice(symbols))
-    for s in symbols[:6]:
-        kb.add_fact(s, "a", f":C{rng.randint(0, 1)}")
+    facts = [(rng.choice(symbols), f":p{rng.randint(0, 2)}", rng.choice(symbols))
+             for _ in range(300)]
+    facts += [(s, "a", f":C{rng.randint(0, 1)}") for s in symbols[:6]]
+    kb = KnowledgeBase()
+    for fact in facts:
+        kb.add_fact(*fact)
 
     checked = 0
     for _ in range(90):
@@ -214,9 +219,23 @@ def test_execute_agrees_with_nested_loop_oracle():
             got = execute(g, kb).values
         except UnboundTargetError:
             continue
-        assert got == frozenset(oracle_execute_pattern(g, kb))
+        assert got == frozenset(oracle_execute_pattern(g, facts))
         checked += 1
     assert checked >= 25
+
+
+def test_type_facts_are_seen_only_by_isa():
+    kb = KnowledgeBase()
+    kb.add_fact(":x", "a", ":C")
+    kb.add_fact(":x", "a", ":C")          # a repeated type fact
+    kb.add_fact(":x", ":p", ":y")
+    kb.add_fact(":x", ":p", ":y")         # a repeated fact
+    assert kb.fact_count == 2
+    verts = [Vertex("?s", VARIABLE), Vertex("?o", VARIABLE)]
+    for label in (user("a"), user("ISA"), user(":p"), builtin(ISA)):
+        g = build_graph(verts, [Triple("?s", label, "?o")], "?o")
+        expected = {":C"} if label.is_builtin else {":y"} if label.name == ":p" else set()
+        assert execute(g, kb).values == frozenset(expected), label
 
 
 def test_monotone_under_added_facts():
