@@ -386,7 +386,11 @@ class DictionaryLinker:
     entries: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
 
     def add(self, surface: str, kind: str, symbol: str) -> None:
-        self.entries.setdefault(surface.lower(), []).append((kind, symbol))
+        """Link ``surface``, in any case, to ``symbol``; a repeated
+        (kind, symbol) of one lowercased surface is kept once."""
+        symbols = self.entries.setdefault(surface.lower(), [])
+        if (kind, symbol) not in symbols:
+            symbols.append((kind, symbol))
 
     @classmethod
     def from_file(cls, path) -> "DictionaryLinker":

@@ -15,20 +15,24 @@ The rank-without-substructures ablation instead trains one softmax
 classifier over whole structures. It and the per-substructure BiLSTMs
 share one example builder (``_examples``) and one training loop
 (``_fit``: minibatch Adam with early stopping on the dev loss). ``_fit``
-trains a stack of models at once (``nn.forward_stack``): every
-per-substructure BiLSTM of a catalog is one stack, and the classifier is
-a stack of one. The models keep their own weights, random streams and
-early stopping, so each comes out exactly as it would if trained alone;
-a step runs every active model over its own minibatch in one batched
-pass with one Adam update.
+trains a stack of models at once (``nn.forward_stack``); the classifier
+is a stack of one. The per-substructure BiLSTMs of a catalog are dealt
+out in turn into one stack per available CPU, and the stacks are fitted
+in parallel threads (numpy releases the GIL in its loops and BLAS
+calls). The models keep their own weights, random streams and early
+stopping, so each comes out as it would if trained alone, up to float64
+rounding; a step runs every active model of a stack over its own
+minibatch in one batched pass with one Adam update.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -106,6 +110,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.d_e <= 0 or self.d_h <= 0:
             raise ValueError("dimensions must be positive")
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        if self.epochs < 0 or self.patience < 0:
+            raise ValueError("epochs and patience must be >= 0")
+        if not self.learning_rate >= 0:  # also rejects nan
+            raise ValueError("learning_rate must be >= 0")
         if self.arch not in ("bilstm", "bow"):
             raise ValueError(f"unknown arch {self.arch!r}")
 
@@ -383,17 +393,34 @@ def train(pairs, catalog: SubstructureCatalog, cfg: TrainConfig,
         else:
             stacked.append(i)
     if stacked:
-        # every BiLSTM predictor of the catalog, trained as one stack
-        rngs = [_model_seed(cfg.seed, keys[i]) for i in stacked]
-        params = nn.stack([nn.init_params(len(vocab), cfg.d_e, cfg.d_h, 1, rng)
-                           for rng in rngs])
-        params, accuracies = _fit(params, seqs, labels[stacked], dev_seqs,
-                                  dev_labels[stacked], vocab, cfg, rngs, singleton_ids)
-        for j, (i, accuracy) in enumerate(zip(stacked, accuracies)):
-            models[keys[i]] = PredictorModel(
-                vocab, {name: p[j].copy() for name, p in params.items()},
-                cfg.d_e, cfg.d_h, keys[i], accuracy)
+        # the BiLSTM predictors share no weights: deal them out into one
+        # stack per CPU and fit the stacks in parallel threads
+        n = min(len(stacked), _cpu_count())
+        shards = [stacked[k::n] for k in range(n)]
+        rngs = [[_model_seed(cfg.seed, keys[i]) for i in shard] for shard in shards]
+        inits = [nn.stack([nn.init_params(len(vocab), cfg.d_e, cfg.d_h, 1, rng)
+                           for rng in shard_rngs]) for shard_rngs in rngs]
+
+        def fit(shard, params, shard_rngs):
+            return _fit(params, seqs, labels[shard], dev_seqs, dev_labels[shard], vocab,
+                        cfg, shard_rngs, singleton_ids)
+
+        with ThreadPoolExecutor(n) as pool:
+            fitted = list(pool.map(fit, shards, inits, rngs))
+        for shard, (params, accuracies) in zip(shards, fitted):
+            for j, (i, accuracy) in enumerate(zip(shard, accuracies)):
+                models[keys[i]] = PredictorModel(
+                    vocab, {name: p[j].copy() for name, p in params.items()},
+                    cfg.d_e, cfg.d_h, keys[i], accuracy)
     return {key: models[key] for key in keys}
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def predict_all(models: dict[StructureKey, object],

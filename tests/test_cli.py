@@ -168,7 +168,9 @@ def test_eval_oracle_single_fold(tmp_path, capsys):
      "--predictor oracle reads gold queries"),
     (["eval", "--K", "0"], "k_max must be >= 1"),
     (["train", "--d-e", "0"], "dimensions must be positive"),
-], ids=["train-oracle", "generate-oracle", "eval-K-0", "train-d-e-0"])
+    (["train", "--batch-size", "0"], "batch_size must be positive"),
+], ids=["train-oracle", "generate-oracle", "eval-K-0", "train-d-e-0",
+        "train-batch-size-0"])
 def test_flags_that_cannot_be_honoured_are_usage_errors(tmp_path, capsys, argv, message):
     # a missing KB shows that the flags are checked before any input is read
     with pytest.raises(SystemExit) as exit_info:

@@ -14,6 +14,7 @@ from kbqg.graph import (
     user,
 )
 from kbqg.grounding import (
+    DictionaryLinker,
     LinkingCandidate,
     NoValidGroundingError,
     enumerate_assignments,
@@ -210,6 +211,22 @@ def test_dictionary_linker_longest_match():
     assert any(s == (19, 34) for s in spans)
     prop_symbols = {c.symbol for c in candidates if c.kind == "property"}
     assert ":director" in prop_symbols
+
+
+def test_dictionary_linker_keeps_a_repeated_row_once(tmp_path):
+    linker = DictionaryLinker()
+    linker.add("jaws", "entity", ":Jaws")
+    linker.add("Jaws", "entity", ":Jaws")
+    linker.add("JAWS", "class", ":Jaws")
+    path = tmp_path / "gaz.tsv"
+    path.write_text("jaws\tentity\t:Jaws\ndirected\tproperty\t:director\n"
+                    "Jaws\tentity\t:Jaws\njaws\tentity\t:Jaws_2\n", encoding="utf-8")
+    for one, symbols in [(linker, [("entity", ":Jaws"), ("class", ":Jaws")]),
+                         (DictionaryLinker.from_file(path),
+                          [("entity", ":Jaws"), ("entity", ":Jaws_2")])]:
+        spans, candidates = one.link("who directed jaws?")
+        assert spans == [(13, 17)]
+        assert [(c.kind, c.symbol) for c in candidates if c.mention == "jaws"] == symbols
 
 
 def test_candidate_file_roundtrip(tmp_path):

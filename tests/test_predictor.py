@@ -1,8 +1,10 @@
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from kbqg import predictor
 from kbqg.mining import TrainingPair, mine
 from kbqg.predictor import (
     DegenerateLabelWarning,
@@ -206,17 +208,26 @@ def test_structure_classifier_ranks_gold_first():
     assert abs(probs.sum() - 1.0) < 1e-9
 
 
-def test_stacked_models_equal_models_fitted_alone_under_early_stopping(monkeypatch):
-    import kbqg.nn as nn
+def _fold0():
+    """``train``'s arguments on fixture fold 0, with early stopping that
+    stops the models after different epochs."""
     from kbqg.evaluation import Dataset, make_folds, split_fold
-    from kbqg.mining import SubstructureCatalog
     from kbqg.toydata import build_dataset
 
     pairs = Dataset("mini", build_dataset()).pairs
     train_pairs, dev_pairs, _test = split_fold(pairs, make_folds(pairs, 5, 13), 0, 13,
                                                "stratified")
-    catalog = mine(train_pairs, 2)
     cfg = small_cfg(epochs=12, batch_size=8, patience=0, seed=13)
+    return train_pairs, mine(train_pairs, 2), cfg, dev_pairs
+
+
+def test_stacked_models_equal_models_fitted_alone_under_early_stopping(monkeypatch):
+    import kbqg.nn as nn
+    from kbqg.mining import SubstructureCatalog
+
+    train_pairs, catalog, cfg, dev_pairs = _fold0()
+    # one stack of every model, against each model alone
+    monkeypatch.setattr(predictor, "_cpu_count", lambda: 1)
     stack_sizes = []
     stack_losses = nn.stack_losses
 
@@ -246,3 +257,84 @@ def test_stacked_models_equal_models_fitted_alone_under_early_stopping(monkeypat
                 for name in model.params:
                     np.testing.assert_allclose(model.params[name], alone.params[name],
                                                rtol=0, atol=1e-10, err_msg=name)
+
+
+def _train_quietly(*args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLabelWarning)
+        return train(*args)
+
+
+@pytest.fixture(scope="module")
+def fold0_one_stack():
+    """Fold-0 BiLSTMs under early stopping, fitted as one stack."""
+    args = _fold0()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(predictor, "_cpu_count", lambda: 1)
+        return args, _train_quietly(*args)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_shards_equal_one_stack(fold0_one_stack, monkeypatch, cpus):
+    args, one_stack = fold0_one_stack
+    monkeypatch.setattr(predictor, "_cpu_count", lambda: cpus)
+    sharded = _train_quietly(*args)
+    assert list(sharded) == list(one_stack)
+    for key, model in one_stack.items():
+        assert type(sharded[key]) is type(model)
+        if isinstance(model, PredictorModel):
+            assert sharded[key].dev_accuracy == model.dev_accuracy
+            for name in model.params:
+                np.testing.assert_allclose(sharded[key].params[name], model.params[name],
+                                           rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_more_cpus_than_models_gives_one_shard_per_model(fold0_one_stack, monkeypatch):
+    args, one_stack = fold0_one_stack
+    n_bilstm = sum(isinstance(m, PredictorModel) for m in one_stack.values())
+    assert n_bilstm >= 2
+    shard_sizes = []
+    fit = predictor._fit
+
+    def spy(params, seqs, labels, *rest, **kw):
+        shard_sizes.append(len(labels))
+        return fit(params, seqs, labels, *rest, **kw)
+
+    monkeypatch.setattr(predictor, "_cpu_count", lambda: n_bilstm + 5)
+    monkeypatch.setattr(predictor, "_fit", spy)
+    _train_quietly(*args)
+    assert shard_sizes == [1] * n_bilstm
+
+
+def test_an_error_in_one_shard_propagates_and_leaves_no_thread(fold0_one_stack,
+                                                                monkeypatch):
+    args, _one_stack = fold0_one_stack
+    calls = []
+    lock = threading.Lock()
+    fit = predictor._fit
+
+    def fail_all_but_the_first_shard(*a, **kw):
+        with lock:
+            calls.append(None)
+            first = len(calls) == 1
+        if not first:
+            raise RuntimeError("shard failed")
+        return fit(*a, **kw)
+
+    monkeypatch.setattr(predictor, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(predictor, "_fit", fail_all_but_the_first_shard)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="shard failed"):
+        _train_quietly(*args)
+    assert len(calls) == 3
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("epochs", -1), ("patience", -1),
+    ("learning_rate", -1.0), ("learning_rate", float("nan")),
+])
+def test_train_config_rejects_values_training_cannot_use(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+    TrainConfig(learning_rate=0.0, epochs=0, patience=0, batch_size=1)
