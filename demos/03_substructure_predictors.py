@@ -19,7 +19,7 @@ train_pairs, dev_pairs, test_pairs = split_fold(pairs, folds, 0, 13, "stratified
 catalog = mine(train_pairs, gamma=2)
 
 # the fast baseline for all substructures
-bow = train(train_pairs, catalog, TrainConfig(arch="bow", seed=13), dev_pairs)
+bow = train(train_pairs, catalog, TrainConfig(seed=13), dev_pairs, predictor="bow")
 print(f"trained {len(bow)} bag-of-words predictors "
       f"(dev accuracy min={min(m.dev_accuracy for m in bow.values()):.2f})")
 

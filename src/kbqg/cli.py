@@ -14,15 +14,11 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from io import StringIO
 from pathlib import Path
 
-from .evaluation import (
-    PipelineConfig,
-    load_dataset,
-    run_pipeline,
-)
+from .evaluation import PipelineConfig, load_dataset, run_pipeline
 from .grounding import DictionaryLinker, load_candidates
 from .io import write_json, write_text
 from .kb import format_answer, load_kb
@@ -36,42 +32,80 @@ from .sparql import load_prefixes, serialize_query
 from .toydata import data_dir
 
 
+ALL = ("mine", "train", "generate", "eval", "ablate", "noisy-linking")
+TRAINED = ALL[1:]           # fit predictors
+LINKED = ALL[2:]            # link, merge and ground against a KB
+CROSS_VALIDATED = ALL[3:]
+
+# Each flag once, with the commands that read it. A config flag's dest is
+# the name of the field it sets and it has no default of its own: a field
+# that no flag sets keeps its dataclass default.
+FLAGS = [
+    ("--dataset", ALL, dict(type=Path, help="JSON dataset (default: bundled mini dataset)")),
+    ("--prefixes", ALL, dict(type=Path, help="JSON prefix table for the parser")),
+    ("--gamma", ALL, dict(type=int, help="frequency threshold (strictly more than)")),
+    ("--kb", LINKED, dict(type=Path, help="triple file (default: bundled toy KB)")),
+    ("--schema", LINKED, dict(type=Path, help="domain/range/disjoint file (default: bundled)")),
+    ("--gazetteer", LINKED, dict(type=Path, help="linker gazetteer TSV (default: bundled)")),
+    ("--K", LINKED, dict(dest="k_max", type=int, help="merge iterations")),
+    ("--theta", LINKED, dict(type=float, help="score threshold")),
+    ("--tau", LINKED, dict(type=int, help="max triples after merge")),
+    ("--delta", LINKED, dict(type=int, help="max aggregations")),
+    ("--top-k", LINKED, dict(type=int, help="grounded queries kept")),
+    ("--setting", ("generate", "eval", "noisy-linking"), dict(choices=SETTINGS)),
+    ("--predictor", TRAINED, dict(choices=("bilstm", "bow", "oracle"))),
+    ("--seed", TRAINED, dict(type=int, help="fold split and training seed")),
+    ("--epochs", TRAINED, dict(type=int)),
+    ("--d-e", TRAINED, dict(type=int, help="embedding size")),
+    ("--d-h", TRAINED, dict(type=int, help="BiLSTM hidden size")),
+    ("--learning-rate", TRAINED, dict(type=float)),
+    ("--batch-size", TRAINED, dict(type=int)),
+    ("--patience", TRAINED, dict(type=int, help="early-stopping patience in epochs")),
+    ("--folds", CROSS_VALIDATED, dict(type=int)),
+    ("--linking", CROSS_VALIDATED, dict(choices=("gold", "gazetteer"))),
+    ("--dev-policy", CROSS_VALIDATED, dict(choices=("fraction", "stratified"))),
+    # the noisy run's, on purpose not the config's 0: the clean run injects none
+    ("--distractors", ("noisy-linking",), dict(
+        type=int, default=4, help="distractors per linking candidate")),
+    ("--factor", ("noisy-linking",), dict(dest="distractor_factor", type=float,
+                                          help="distractor score factor")),
+    ("--out", ("mine",), dict(type=Path, default=Path("catalog.json"))),
+    ("--out", ("train",), dict(type=Path, default=Path("models"))),
+    ("--catalog", ("train", "generate"), dict(type=Path)),
+    ("--models", ("generate",), dict(type=Path)),
+    ("--candidates", ("generate",), dict(
+        type=Path, help="per-question linking candidates JSON (bypasses the linker)")),
+    ("--dump-ranked", ("generate",), dict(
+        type=Path, help="write the ranked structure list as JSON lines")),
+    ("--dump-merged", ("generate",), dict(
+        type=Path, help="write the per-round merge sets as JSON")),
+    ("--report", CROSS_VALIDATED, dict(type=Path)),
+    ("question", ("generate",), {}),
+]
+
+
+def _add_flags(parser, command):
+    """The flags that ``command`` reads."""
+    for flag, commands, kwargs in FLAGS:
+        if command in commands:
+            parser.add_argument(flag, **kwargs)
+
+
+def _pipeline_config(args) -> PipelineConfig:
+    """The config that the given flags set, by field name (so ``--seed``
+    sets both seeds); every other field keeps its dataclass default."""
+    given = {name: value for name, value in vars(args).items() if value is not None}
+
+    def given_fields(cls):
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
+    return PipelineConfig(**given_fields(PipelineConfig),
+                          merge=MergeConfig(**given_fields(MergeConfig)),
+                          train=TrainConfig(**given_fields(TrainConfig)))
+
+
 def _default(path_flag, name):
     return path_flag if path_flag else data_dir() / name
-
-
-def _add_common(parser):
-    parser.add_argument("--dataset", type=Path, default=None,
-                        help="JSON dataset (default: bundled mini dataset)")
-    parser.add_argument("--kb", type=Path, default=None,
-                        help="triple file (default: bundled toy KB)")
-    parser.add_argument("--schema", type=Path, default=None,
-                        help="domain/range/disjoint file (default: bundled)")
-    parser.add_argument("--gazetteer", type=Path, default=None,
-                        help="linker gazetteer TSV (default: bundled)")
-    parser.add_argument("--prefixes", type=Path, default=None,
-                        help="JSON prefix table for the parser")
-    parser.add_argument("--gamma", type=int, default=30,
-                        help="frequency threshold (strictly more than)")
-    parser.add_argument("--K", type=int, default=2, help="merge iterations")
-    parser.add_argument("--theta", type=float, default=0.3, help="score threshold")
-    parser.add_argument("--tau", type=int, default=5, help="max triples after merge")
-    parser.add_argument("--delta", type=int, default=2, help="max aggregations")
-    parser.add_argument("--seed", type=int, default=13)
-    parser.add_argument("--folds", type=int, default=5)
-    parser.add_argument("--setting", choices=SETTINGS, default="full")
-    parser.add_argument("--top-k", type=int, default=5)
-    parser.add_argument("--predictor", choices=("bilstm", "bow", "oracle"),
-                        default="bilstm")
-    parser.add_argument("--linking", choices=("gold", "gazetteer"), default="gold")
-    parser.add_argument("--dev-policy", choices=("fraction", "stratified"),
-                        default="fraction")
-    parser.add_argument("--epochs", type=int, default=50)
-    parser.add_argument("--d-e", type=int, default=100)
-    parser.add_argument("--d-h", type=int, default=128)
-    parser.add_argument("--learning-rate", type=float, default=1e-3)
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--patience", type=int, default=5)
 
 
 def _load_dataset(args):
@@ -87,39 +121,23 @@ def _load_inputs(args):
     return dataset, kb, linker
 
 
-def _pipeline_config(args):
-    return PipelineConfig(
-        gamma=args.gamma,
-        merge=MergeConfig(k_max=args.K, theta=args.theta, tau=args.tau,
-                          delta=args.delta),
-        train=TrainConfig(d_e=args.d_e, d_h=args.d_h,
-                          learning_rate=args.learning_rate, epochs=args.epochs,
-                          batch_size=args.batch_size, patience=args.patience,
-                          seed=args.seed,
-                          arch=args.predictor if args.predictor != "oracle"
-                          else "bilstm"),
-        top_k=args.top_k, folds=args.folds, seed=args.seed,
-        setting=args.setting, predictor=args.predictor, linking=args.linking,
-        dev_policy=args.dev_policy,
-    )
-
-
 def cmd_mine(args):
     dataset = _load_dataset(args)
-    catalog = mine(dataset.pairs, args.gamma)
+    gamma = args.config.gamma
+    catalog = mine(dataset.pairs, gamma)
     save_catalog(catalog, args.out)
     print(f"mined {len(dataset.pairs)} pairs -> {len(catalog.structures)} structures, "
-          f"{len(catalog.substructures)} frequent substructures (gamma={args.gamma})")
+          f"{len(catalog.substructures)} frequent substructures (gamma={gamma})")
     print(f"catalog written to {args.out}")
 
 
 def cmd_train(args):
     dataset = _load_dataset(args)
+    config = args.config
     catalog = load_catalog(args.catalog) if args.catalog else mine(dataset.pairs,
-                                                                   args.gamma)
-    cfg = args.config.train
-    models = train(dataset.pairs, catalog, cfg)
-    save_models(models, args.out, cfg)
+                                                                   config.gamma)
+    models = train(dataset.pairs, catalog, config.train, predictor=config.predictor)
+    save_models(models, args.out, config.train)
     # a constant model (degenerate labels) has a NaN accuracy, which
     # ``sorted`` cannot order
     accs = sorted(m.dev_accuracy for m in models.values() if not math.isnan(m.dev_accuracy))
@@ -132,16 +150,16 @@ def cmd_train(args):
 
 def cmd_generate(args):
     dataset, kb, linker = _load_inputs(args)
-    catalog = load_catalog(args.catalog) if args.catalog else mine(dataset.pairs,
-                                                                   args.gamma)
     config = args.config
+    catalog = load_catalog(args.catalog) if args.catalog else mine(dataset.pairs,
+                                                                   config.gamma)
     models, classifier = {}, None
     if config.setting == "rank-wo-sub":
         classifier = train_structure_classifier(dataset.pairs, catalog, config.train)
     elif args.models:
         models = load_models(args.models)
     else:
-        models = train(dataset.pairs, catalog, config.train)
+        models = train(dataset.pairs, catalog, config.train, predictor=config.predictor)
     generator = QueryGenerator(catalog, models, kb, config.merge, top_k=config.top_k,
                                setting=config.setting, structure_classifier=classifier)
     if args.candidates:
@@ -178,15 +196,11 @@ def cmd_generate(args):
         print(f"    -> {format_answer(r.answers)}")
 
 
-def _print_report(report):
-    print(report.summary())
-
-
 def cmd_eval(args):
     warnings.filterwarnings("ignore", category=UserWarning)
     dataset, kb, linker = _load_inputs(args)
     report = run_pipeline(dataset, kb, args.config, linker)
-    _print_report(report)
+    print(report.summary())
     if args.report:
         write_json(args.report, report.to_json())
         print(f"report written to {args.report}")
@@ -213,11 +227,9 @@ def cmd_ablate(args):
 def cmd_noisy(args):
     warnings.filterwarnings("ignore", category=UserWarning)
     dataset, kb, linker = _load_inputs(args)
-    clean = run_pipeline(dataset, kb, args.config, linker)
-    noisy = run_pipeline(dataset, kb,
-                         replace(args.config, distractors=args.distractors,
-                                 distractor_factor=args.factor),
-                         linker)
+    # the config is the noisy run's; the clean run injects no distractors
+    clean = run_pipeline(dataset, kb, replace(args.config, distractors=0), linker)
+    noisy = run_pipeline(dataset, kb, args.config, linker)
     print(f"{'run':8s} {'P@1':>14s} {'P@5':>14s}")
     for label, rep in (("clean", clean), ("noisy", noisy)):
         p1m, p1s = rep.precision_at_1
@@ -230,65 +242,39 @@ def cmd_noisy(args):
         write_json(args.report, {"clean": clean.to_json(), "noisy": noisy.to_json()})
 
 
-def main(argv=None):
+def parse_args(argv=None):
+    """The parsed ``argv`` with its config (``args.config``), built before
+    any input is read; a setting that cannot be honoured is a usage error."""
     parser = argparse.ArgumentParser(
         prog="kbqg",
         description="Formal query generation over knowledge bases")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("mine", help="mine structures and frequent substructures")
-    _add_common(p)
-    p.add_argument("--out", type=Path, default=Path("catalog.json"))
-    p.set_defaults(func=cmd_mine)
-
-    p = sub.add_parser("train", help="train per-substructure predictors")
-    _add_common(p)
-    p.add_argument("--catalog", type=Path, default=None)
-    p.add_argument("--out", type=Path, default=Path("models"))
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("generate", help="generate a query for one question")
-    _add_common(p)
-    p.add_argument("--catalog", type=Path, default=None)
-    p.add_argument("--models", type=Path, default=None)
-    p.add_argument("--candidates", type=Path, default=None,
-                   help="per-question linking candidates JSON (bypasses the linker)")
-    p.add_argument("--dump-ranked", type=Path, default=None,
-                   help="write the ranked structure list as JSON lines")
-    p.add_argument("--dump-merged", type=Path, default=None,
-                   help="write the per-round merge sets as JSON")
-    p.add_argument("question")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("eval", help="cross-validated end-to-end evaluation")
-    _add_common(p)
-    p.add_argument("--report", type=Path, default=None)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="compare pipeline settings")
-    _add_common(p)
-    p.add_argument("--report", type=Path, default=None)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("noisy-linking", help="clean vs distractor-injected linking")
-    _add_common(p)
-    p.add_argument("--distractors", type=int, default=4)
-    p.add_argument("--factor", type=float, default=0.9)
-    p.add_argument("--report", type=Path, default=None)
-    p.set_defaults(func=cmd_noisy)
+    for command, func, summary in (
+            ("mine", cmd_mine, "mine structures and frequent substructures"),
+            ("train", cmd_train, "train per-substructure predictors"),
+            ("generate", cmd_generate, "generate a query for one question"),
+            ("eval", cmd_eval, "cross-validated end-to-end evaluation"),
+            ("ablate", cmd_ablate, "compare pipeline settings"),
+            ("noisy-linking", cmd_noisy, "clean vs distractor-injected linking")):
+        p = sub.add_parser(command, help=summary)
+        _add_flags(p, command)
+        p.set_defaults(func=func)
 
     args = parser.parse_args(argv)
-    if getattr(args, "models", None) and args.setting == "rank-wo-sub":
+    try:
+        args.config = config = _pipeline_config(args)
+    except ValueError as err:
+        parser.error(str(err))
+    if getattr(args, "models", None) and config.setting == "rank-wo-sub":
         parser.error("--models cannot be used with --setting rank-wo-sub")
-    if args.predictor == "oracle" and args.command in ("train", "generate"):
+    if config.predictor == "oracle" and args.command in ("train", "generate"):
         parser.error(f"--predictor oracle reads gold queries, which {args.command} "
                      "does not have; use eval, ablate or noisy-linking")
-    if args.command != "mine":
-        # checked before any input is read
-        try:
-            args.config = _pipeline_config(args)
-        except ValueError as err:
-            parser.error(str(err))
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
     return args.func(args)
 
 

@@ -37,11 +37,12 @@ output:
   exactly as ``rank_existing`` scores a mined structure.
 * Bounds before keys. Every union of two inputs contains the frequent
   substructures that either input contains, so its score is at most U,
-  ``ranking.score_bound`` of those. Once a round has ``beam`` members,
-  let w be the last of its best ``beam`` (by score, then sort key); the
-  round's ``beam``-th best member only gets better from then on. A union
-  whose ``(-U, sort key)`` comes after w's ranks strictly behind it, so
-  it cannot make the beam. Hence a pair whose U is at most theta or
+  ``ranking.score_bound`` of those: their score with every substructure
+  predicted above 0.5 added. Once a round has ``beam`` members, let w be
+  the last of its best ``beam`` (by score, then sort key); the round's
+  ``beam``-th best member only gets better from then on. A union whose
+  ``(-U, sort key)`` comes after w's ranks strictly behind it, so it
+  cannot make the beam. Hence a pair whose U is at most theta or
   below w's score keys none of its unions, and a key new to the question
   that falls behind w is neither decoded nor scored. A pair whose U
   equals w's score keys only the unions that may sort before w
@@ -72,7 +73,7 @@ from .canon import (
 )
 from .graph import AGG_RESULT, QueryGraph
 from .mining import SubstructureCatalog, contained_frequent_keys, graph_to_json
-from .ranking import MERGED, ScoredStructure, score_bound, score_containment
+from .ranking import MERGED, ScoredStructure, score_containment
 
 
 @dataclass(frozen=True)
@@ -314,6 +315,7 @@ def merge_substructures(probs: dict[StructureKey, float],
     record_round(0, current, counts)
 
     contained = [key for key in catalog.frequent_keys if probs.get(key, 0.0) > 0.5]
+    likely = frozenset(contained)
     for _round in range(cfg.k_max):
         counts = Counter()
         seen: set[StructureKey] = set()
@@ -323,7 +325,8 @@ def merge_substructures(probs: dict[StructureKey, float],
         for skey in contained:
             for mkey in sorted(current, key=StructureKey.sort_key):
                 known = patterns[skey] | patterns[mkey]
-                bound = score_bound(known, probs, catalog)
+                # U, ``ranking.score_bound(known, ...)`` with ``likely`` found once
+                bound = score_containment(known | likely, probs, catalog)
                 # the member that a union must beat, once the beam is full
                 w = ranked[-1] if len(ranked) == cfg.beam else None
                 last = None

@@ -105,7 +105,6 @@ class TrainConfig:
     batch_size: int = 32
     patience: int = 5
     seed: int = 13
-    arch: str = "bilstm"  # or "bow"
 
     def __post_init__(self):
         if self.d_e <= 0 or self.d_h <= 0:
@@ -116,8 +115,6 @@ class TrainConfig:
             raise ValueError("epochs and patience must be >= 0")
         if not self.learning_rate >= 0:  # also rejects nan
             raise ValueError("learning_rate must be >= 0")
-        if self.arch not in ("bilstm", "bow"):
-            raise ValueError(f"unknown arch {self.arch!r}")
 
 
 def build_vocab(sequences) -> dict[str, int]:
@@ -154,7 +151,6 @@ class PredictorModel:
     params: dict[str, np.ndarray]
     d_e: int
     d_h: int
-    substructure_key: StructureKey
     dev_accuracy: float = float("nan")
 
     def forward(self, seq: TokenSequence):
@@ -173,7 +169,6 @@ class BowLogisticModel:
 
     vocab: dict[str, int]
     weights: np.ndarray  # (|vocab| + 1,), last entry is the bias
-    substructure_key: StructureKey
     dev_accuracy: float = float("nan")
 
     def _features(self, seq: TokenSequence) -> np.ndarray:
@@ -199,7 +194,6 @@ class ConstantModel:
     """Fallback when a substructure has a degenerate label set."""
 
     probability: float
-    substructure_key: StructureKey
     dev_accuracy: float = float("nan")
 
     def forward(self, seq: TokenSequence):
@@ -333,7 +327,7 @@ def _fit(params, seqs, labels, dev_seqs, dev_labels, vocab, cfg: TrainConfig, rn
     return best, accuracies
 
 
-def _train_bow(key, seqs, y, vocab):
+def _train_bow(seqs, y, vocab):
     X = np.zeros((len(seqs), len(vocab) + 1))
     for row, seq in enumerate(seqs):
         for i in encode(seq, vocab):
@@ -350,17 +344,20 @@ def _train_bow(key, seqs, y, vocab):
 
     res = minimize(objective, np.zeros(len(vocab) + 1), jac=True, method="L-BFGS-B",
                    options={"maxiter": 200})
-    return BowLogisticModel(vocab, res.x, key)
+    return BowLogisticModel(vocab, res.x)
 
 
 def train(pairs, catalog: SubstructureCatalog, cfg: TrainConfig,
-          dev_pairs=None) -> dict[StructureKey, object]:
-    """Train one independent predictor per frequent substructure.
+          dev_pairs=None, predictor: str = "bilstm") -> dict[StructureKey, object]:
+    """Train one independent predictor per frequent substructure, of the
+    ``predictor`` family (``bilstm`` or ``bow``).
 
     Labels come from substructure containment in each pair's gold query.
     When ``dev_pairs`` is omitted a deterministic slice of the training
     pairs is held out for early stopping.
     """
+    if predictor not in ("bilstm", "bow"):
+        raise ValueError(f"unknown predictor family {predictor!r}")
     if not catalog.substructures:
         raise ValueError("catalog has no frequent substructures")
     (seqs, contained), (dev_seqs, dev_contained), vocab = _examples(
@@ -383,9 +380,9 @@ def train(pairs, catalog: SubstructureCatalog, cfg: TrainConfig,
             warnings.warn(
                 f"substructure {key.canonical!r} has a degenerate label set; "
                 f"using constant probability {prob}", DegenerateLabelWarning)
-            models[key] = ConstantModel(prob, key)
-        elif cfg.arch == "bow":
-            model = _train_bow(key, seqs, y, vocab)
+            models[key] = ConstantModel(prob)
+        elif predictor == "bow":
+            model = _train_bow(seqs, y, vocab)
             scored, scored_y = (dev_seqs, dev_y) if dev_seqs else (seqs, y)
             model.dev_accuracy = _accuracy(
                 [model.predict_proba(seq) >= 0.5 for seq in scored], scored_y)
@@ -411,7 +408,7 @@ def train(pairs, catalog: SubstructureCatalog, cfg: TrainConfig,
             for j, (i, accuracy) in enumerate(zip(shard, accuracies)):
                 models[keys[i]] = PredictorModel(
                     vocab, {name: p[j].copy() for name, p in params.items()},
-                    cfg.d_e, cfg.d_h, keys[i], accuracy)
+                    cfg.d_e, cfg.d_h, accuracy)
     return {key: models[key] for key in keys}
 
 
@@ -525,12 +522,12 @@ def load_models(directory) -> dict[StructureKey, object]:
                 if meta["kind"] == "bilstm":
                     params = {k: data[k] for k in data.files if k != "__meta__"}
                     model = PredictorModel(meta["vocab"], params, meta["d_e"],
-                                           meta["d_h"], key, meta["dev_accuracy"])
+                                           meta["d_h"], meta["dev_accuracy"])
                 elif meta["kind"] == "bow":
-                    model = BowLogisticModel(meta["vocab"], data["weights"], key,
+                    model = BowLogisticModel(meta["vocab"], data["weights"],
                                              meta["dev_accuracy"])
                 elif meta["kind"] == "constant":
-                    model = ConstantModel(meta["probability"], key, meta["dev_accuracy"])
+                    model = ConstantModel(meta["probability"], meta["dev_accuracy"])
                 else:
                     raise ValueError(f"unknown model kind {meta['kind']!r}")
                 models[key] = model

@@ -77,23 +77,13 @@ def score_bound(known: frozenset[StructureKey],
                 probs: dict[StructureKey, float],
                 catalog: SubstructureCatalog) -> float:
     """An upper bound on ``score_containment(pattern, ...)`` over every
-    pattern that contains ``known``: the same sum in the same order, with
-    each unknown substructure's term the larger of its two choices. Each
-    term is at least the true one and float addition and ``exp`` are
-    non-decreasing, so the bound holds exactly, not just up to rounding."""
-    total = 0.0
-    for key in catalog.substructures:
-        try:
-            p = probs[key]
-        except KeyError:
-            raise MissingProbabilityError(
-                f"no probability for frequent substructure {key.canonical!r}") from None
-        log_term = (_clamped_log(p) if key in known
-                    else max(_clamped_log(p), _clamped_log(1.0 - p)))
-        if log_term == -math.inf:
-            return 0.0
-        total += log_term
-    return math.exp(total)
+    pattern that contains ``known``: the score of ``known`` plus every
+    substructure more likely contained than not, which takes for each
+    unknown substructure the larger of its two terms. Each term is at
+    least the true one and float addition and ``exp`` are non-decreasing,
+    so the bound holds exactly, not just up to rounding."""
+    likely = {key for key in catalog.frequent_keys if probs.get(key, 0.0) > 0.5}
+    return score_containment(known | likely, probs, catalog)
 
 
 def containment_pattern(g: QueryGraph, catalog: SubstructureCatalog,

@@ -1,12 +1,15 @@
 """CLI smoke tests over the bundled fixtures, using the fast predictors."""
 
 import json
+import re
+from operator import attrgetter
 from types import SimpleNamespace
 
 import pytest
 
 from kbqg import cli
 from kbqg.cli import main
+from kbqg.evaluation import PipelineConfig
 from kbqg.grounding import LinkingCandidate, save_candidates
 from kbqg.merging import ROUND_COUNTS
 from kbqg.pipeline import QueryGenerator
@@ -55,7 +58,7 @@ def test_train_summarizes_the_accuracy_of_models_that_are_not_constant(tmp_path,
             "dev accuracy of the others min=1.000 median=1.000\n") in capsys.readouterr().out
     # ``sorted`` leaves [0.5, nan, 0.25] as it is
     accuracies = [0.5, float("nan"), 0.25]
-    monkeypatch.setattr(cli, "train", lambda *args: {
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: {
         i: SimpleNamespace(dev_accuracy=acc) for i, acc in enumerate(accuracies)})
     monkeypatch.setattr(cli, "save_models", lambda *args: None)
     main(["train", "--gamma", "2", "--predictor", "bow", "--out", str(tmp_path / "unused")])
@@ -169,15 +172,112 @@ def test_eval_oracle_single_fold(tmp_path, capsys):
     (["eval", "--K", "0"], "k_max must be >= 1"),
     (["train", "--d-e", "0"], "dimensions must be positive"),
     (["train", "--batch-size", "0"], "batch_size must be positive"),
+    (["mine", "--gamma", "-1"], "gamma must be >= 0"),
+    (["eval", "--folds", "1"], "folds must be >= 2"),
+    (["eval", "--folds", "0"], "folds must be >= 2"),
+    (["eval", "--top-k", "0"], "top_k must be >= 1"),
+    (["noisy-linking", "--distractors", "-1"], "distractors must be >= 0"),
 ], ids=["train-oracle", "generate-oracle", "eval-K-0", "train-d-e-0",
-        "train-batch-size-0"])
+        "train-batch-size-0", "mine-gamma-negative", "eval-folds-1", "eval-folds-0",
+        "eval-top-k-0", "noisy-linking-distractors-negative"])
 def test_flags_that_cannot_be_honoured_are_usage_errors(tmp_path, capsys, argv, message):
-    # a missing KB shows that the flags are checked before any input is read
+    # a missing dataset shows that the flags are checked before any input is read
     with pytest.raises(SystemExit) as exit_info:
-        main(argv + ["--gamma", "2", "--epochs", "1", "--kb", str(tmp_path / "missing.tsv"),
-                     "--dataset", str(tmp_path / "missing.json")])
+        main(argv + ["--dataset", str(tmp_path / "missing.json")])
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+# the options each command accepts
+READ_BY_ALL = {"--dataset", "--prefixes", "--gamma"}
+MERGING = {"--kb", "--schema", "--gazetteer", "--K", "--theta", "--tau", "--delta",
+           "--top-k"}
+TRAINING = {"--predictor", "--seed", "--epochs", "--d-e", "--d-h", "--learning-rate",
+            "--batch-size", "--patience"}
+CROSS_VALIDATION = {"--folds", "--linking", "--dev-policy", "--report"}
+ACCEPTED = {
+    "mine": READ_BY_ALL | {"--out"},
+    "train": READ_BY_ALL | TRAINING | {"--catalog", "--out"},
+    "generate": READ_BY_ALL | MERGING | TRAINING | {
+        "--setting", "--catalog", "--models", "--candidates", "--dump-ranked",
+        "--dump-merged"},
+    "eval": READ_BY_ALL | MERGING | TRAINING | CROSS_VALIDATION | {"--setting"},
+    "ablate": READ_BY_ALL | MERGING | TRAINING | CROSS_VALIDATION,
+    "noisy-linking": READ_BY_ALL | MERGING | TRAINING | CROSS_VALIDATION | {
+        "--setting", "--distractors", "--factor"},
+}
+# the dataset, merge, training and cross-validation flags
+SHARED = READ_BY_ALL | MERGING | TRAINING | {"--setting", "--folds", "--linking",
+                                              "--dev-policy"}
+POSITIONAL = {"generate": ["who directed Jaws?"]}
+# a value other than the default for each config flag, and the fields it sets
+CONFIG_FLAGS = {
+    "--gamma": ("3", ["gamma"]),
+    "--K": ("3", ["merge.k_max"]),
+    "--theta": ("0.5", ["merge.theta"]),
+    "--tau": ("4", ["merge.tau"]),
+    "--delta": ("1", ["merge.delta"]),
+    "--top-k": ("3", ["top_k"]),
+    "--setting": ("rank-w-sub", ["setting"]),
+    "--predictor": ("bow", ["predictor"]),
+    "--seed": ("7", ["seed", "train.seed"]),
+    "--epochs": ("2", ["train.epochs"]),
+    "--d-e": ("8", ["train.d_e"]),
+    "--d-h": ("8", ["train.d_h"]),
+    "--learning-rate": ("0.01", ["train.learning_rate"]),
+    "--batch-size": ("4", ["train.batch_size"]),
+    "--patience": ("2", ["train.patience"]),
+    "--folds": ("3", ["folds"]),
+    "--linking": ("gazetteer", ["linking"]),
+    "--dev-policy": ("stratified", ["dev_policy"]),
+    "--distractors": ("2", ["distractors"]),
+    "--factor": ("0.5", ["distractor_factor"]),
+}
+
+
+@pytest.mark.parametrize("command", ACCEPTED)
+def test_each_command_accepts_exactly_its_options(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    options = set(re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M))
+    assert options - {"--help"} == ACCEPTED[command]
+
+
+@pytest.mark.parametrize("command", ACCEPTED)
+def test_each_config_flag_sets_its_fields(command):
+    defaults = PipelineConfig()
+    flags = ACCEPTED[command] & CONFIG_FLAGS.keys()
+    assert flags
+    for flag in flags:
+        value, paths = CONFIG_FLAGS[flag]
+        config = cli.parse_args([command, flag, value] + POSITIONAL.get(command, [])).config
+        for path in paths:
+            get = attrgetter(path)
+            expected = type(get(defaults))(value)
+            assert expected != get(defaults)
+            assert get(config) == expected, (command, flag, path)
+
+
+@pytest.mark.parametrize("command", ACCEPTED)
+def test_a_command_given_no_flags_builds_the_dataclass_defaults(command):
+    config = cli.parse_args([command] + POSITIONAL.get(command, [])).config
+    # the noisy run of ``noisy-linking`` injects distractors; its clean run
+    # sets them to 0
+    assert config == (PipelineConfig(distractors=4) if command == "noisy-linking"
+                      else PipelineConfig())
+
+
+def test_every_shared_flag_is_refused_by_the_commands_that_do_not_read_it(capsys):
+    dropped = [(command, flag) for command in ACCEPTED
+               for flag in sorted(SHARED - ACCEPTED[command])]
+    assert len(dropped) == 36
+    assert {("mine", "--theta"), ("train", "--setting"), ("generate", "--folds"),
+            ("ablate", "--setting")} <= set(dropped)
+    for command, flag in dropped:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, "1"] + POSITIONAL.get(command, []))
+        assert exit_info.value.code == 2, (command, flag)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_noisy_linking_command(tmp_path, capsys):

@@ -118,7 +118,6 @@ def test_perfect_oracle_end_to_end(mini, kb):
     report = run_pipeline(mini, kb, oracle_config(), folds=[1])
     assert report.fold_reports[0].f1 == 1.0
     assert report.fold_reports[0].precision_at_1 == 1.0
-    report.check_arithmetic()
 
 
 def test_full_vs_merge_only_oracle(mini, kb):
@@ -150,6 +149,23 @@ def test_training_fraction_trend_with_oracle(mini, kb):
     lo = out[0.3].fold_reports[0].f1
     hi = out[1.0].fold_reports[0].f1
     assert hi >= lo
+
+
+def test_gazetteer_linking_without_a_linker_is_an_error(mini, kb):
+    config = oracle_config(linking="gazetteer")
+    with pytest.raises(ValueError, match="gazetteer linking needs a linker"):
+        run_pipeline(mini, kb, config, folds=[0])
+    with pytest.raises(ValueError, match="gazetteer linking needs a linker"):
+        training_fraction_sweep(mini, kb, config, [1.0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", -1), ("folds", 1), ("folds", 0), ("top_k", 0), ("distractors", -1),
+])
+def test_pipeline_config_rejects_out_of_range_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(**{field: value})
+    PipelineConfig(gamma=0, folds=2, top_k=1, distractors=0)
 
 
 def test_same_seed_gives_identical_reports(mini, kb):

@@ -120,7 +120,7 @@ def test_malformed_input_names_file_and_place(tmp_path, case):
 
 def test_load_models_names_the_model_file_of_a_bad_model(tmp_path):
     key = mine(build_dataset(), 2).frequent_keys[0]
-    save_models({key: ConstantModel(0.5, key, 1.0)}, tmp_path)
+    save_models({key: ConstantModel(0.5, 1.0)}, tmp_path)
     assert load_models(tmp_path)[key].probability == 0.5
     npz = tmp_path / json.loads((tmp_path / "manifest.json").read_text())["models"][0]["file"]
     meta = {"key": key_to_json(key), "dev_accuracy": 1.0, "kind": "other"}
@@ -134,7 +134,7 @@ def test_load_models_names_the_model_file_of_a_bad_model(tmp_path):
                          ids=["text", "empty", "truncated-zip"])
 def test_load_models_names_a_model_file_that_is_not_an_archive(tmp_path, content):
     key = mine(build_dataset(), 2).frequent_keys[0]
-    save_models({key: ConstantModel(0.5, key, 1.0)}, tmp_path)
+    save_models({key: ConstantModel(0.5, 1.0)}, tmp_path)
     npz = tmp_path / "model_0000.npz"
     npz.write_bytes(content)
     with pytest.raises(InputError) as info:

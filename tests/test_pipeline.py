@@ -47,8 +47,8 @@ def test_generator_rejects_models_missing_from_a_saved_models_dir(tmp_path):
     pairs = build_dataset()
     catalog = mine(pairs, 2)
     kb = build_kb()
-    cfg = TrainConfig(arch="bow")
-    save_models(train(pairs, catalog, cfg), tmp_path, cfg)
+    cfg = TrainConfig()
+    save_models(train(pairs, catalog, cfg, predictor="bow"), tmp_path, cfg)
     QueryGenerator(catalog, load_models(tmp_path), kb)
     manifest_path = tmp_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))

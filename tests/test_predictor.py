@@ -131,7 +131,7 @@ def test_predict_all_empty_and_full():
 def test_bow_baseline_same_interface():
     pairs = _keyword_corpus()
     catalog = mine(pairs, 2)
-    models = train(pairs, catalog, small_cfg(arch="bow"))
+    models = train(pairs, catalog, small_cfg(), predictor="bow")
     for key, model in models.items():
         assert isinstance(model, BowLogisticModel)
         p, alpha = model.forward(preprocess("how many gadgets did Foo make?"))
@@ -338,3 +338,9 @@ def test_train_config_rejects_values_training_cannot_use(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
     TrainConfig(learning_rate=0.0, epochs=0, patience=0, batch_size=1)
+
+
+def test_train_rejects_an_unknown_predictor_family():
+    pairs = _keyword_corpus()
+    with pytest.raises(ValueError, match="unknown predictor family 'oracle'"):
+        train(pairs, mine(pairs, 2), small_cfg(), predictor="oracle")

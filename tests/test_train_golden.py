@@ -76,8 +76,8 @@ def compute() -> dict:
             "bilstm_lr0": _per_model(train(train_pairs, catalog,
                                            _cfg(learning_rate=0.0), dev_pairs),
                                      seqs),
-            "bow": _per_model(train(train_pairs, catalog, _cfg(arch="bow"),
-                                    dev_pairs), seqs),
+            "bow": _per_model(train(train_pairs, catalog, _cfg(), dev_pairs,
+                                    predictor="bow"), seqs),
         }
         clf = train_structure_classifier(train_pairs, catalog, _cfg(), dev_pairs)
     runs["classifier"] = {
