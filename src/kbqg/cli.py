@@ -15,19 +15,17 @@ import math
 import sys
 import warnings
 from dataclasses import fields, replace
-from io import StringIO
 from pathlib import Path
 
-from .evaluation import PipelineConfig, load_dataset, run_pipeline
+from .evaluation import PipelineConfig, build_generator, load_dataset, run_pipeline
 from .grounding import DictionaryLinker, load_candidates
-from .io import write_json, write_text
+from .io import write_json, write_json_lines
 from .kb import format_answer, load_kb
 from .merging import MergeConfig
 from .mining import load_catalog, mine, save_catalog
-from .pipeline import SETTINGS, QueryGenerator
-from .predictor import (TrainConfig, load_models, save_models, train,
-                        train_structure_classifier)
-from .ranking import write_ranked_jsonl
+from .pipeline import SETTINGS
+from .predictor import TrainConfig, load_models, save_models, train
+from .ranking import ranked_records
 from .sparql import load_prefixes, serialize_query
 from .toydata import data_dir
 
@@ -37,13 +35,16 @@ TRAINED = ALL[1:]           # fit predictors
 LINKED = ALL[2:]            # link, merge and ground against a KB
 CROSS_VALIDATED = ALL[3:]
 
-# Each flag once, with the commands that read it. A config flag's dest is
-# the name of the field it sets and it has no default of its own: a field
-# that no flag sets keeps its dataclass default.
+# Each flag once, with the commands that read it and, for some, the flag
+# of a saved artifact that fixes what it sets, so the two cannot be given
+# together. A config flag's dest is the name of the field it sets and it
+# has no default of its own: a field that no flag sets keeps its
+# dataclass default.
 FLAGS = [
     ("--dataset", ALL, dict(type=Path, help="JSON dataset (default: bundled mini dataset)")),
     ("--prefixes", ALL, dict(type=Path, help="JSON prefix table for the parser")),
-    ("--gamma", ALL, dict(type=int, help="frequency threshold (strictly more than)")),
+    ("--gamma", ALL, dict(type=int, help="frequency threshold (strictly more than)"),
+     "--catalog"),
     ("--kb", LINKED, dict(type=Path, help="triple file (default: bundled toy KB)")),
     ("--schema", LINKED, dict(type=Path, help="domain/range/disjoint file (default: bundled)")),
     ("--gazetteer", LINKED, dict(type=Path, help="linker gazetteer TSV (default: bundled)")),
@@ -53,14 +54,15 @@ FLAGS = [
     ("--delta", LINKED, dict(type=int, help="max aggregations")),
     ("--top-k", LINKED, dict(type=int, help="grounded queries kept")),
     ("--setting", ("generate", "eval", "noisy-linking"), dict(choices=SETTINGS)),
-    ("--predictor", TRAINED, dict(choices=("bilstm", "bow", "oracle"))),
-    ("--seed", TRAINED, dict(type=int, help="fold split and training seed")),
-    ("--epochs", TRAINED, dict(type=int)),
-    ("--d-e", TRAINED, dict(type=int, help="embedding size")),
-    ("--d-h", TRAINED, dict(type=int, help="BiLSTM hidden size")),
-    ("--learning-rate", TRAINED, dict(type=float)),
-    ("--batch-size", TRAINED, dict(type=int)),
-    ("--patience", TRAINED, dict(type=int, help="early-stopping patience in epochs")),
+    ("--predictor", TRAINED, dict(choices=("bilstm", "bow", "oracle")), "--models"),
+    ("--seed", TRAINED, dict(type=int, help="fold split and training seed"), "--models"),
+    ("--epochs", TRAINED, dict(type=int), "--models"),
+    ("--d-e", TRAINED, dict(type=int, help="embedding size"), "--models"),
+    ("--d-h", TRAINED, dict(type=int, help="BiLSTM hidden size"), "--models"),
+    ("--learning-rate", TRAINED, dict(type=float), "--models"),
+    ("--batch-size", TRAINED, dict(type=int), "--models"),
+    ("--patience", TRAINED, dict(type=int, help="early-stopping patience in epochs"),
+     "--models"),
     ("--folds", CROSS_VALIDATED, dict(type=int)),
     ("--linking", CROSS_VALIDATED, dict(choices=("gold", "gazetteer"))),
     ("--dev-policy", CROSS_VALIDATED, dict(choices=("fraction", "stratified"))),
@@ -86,9 +88,14 @@ FLAGS = [
 
 def _add_flags(parser, command):
     """The flags that ``command`` reads."""
-    for flag, commands, kwargs in FLAGS:
+    for flag, commands, kwargs, *_ in FLAGS:
         if command in commands:
             parser.add_argument(flag, **kwargs)
+
+
+def _given(args, flag) -> bool:
+    """Whether ``flag``, whose dest is its own name, was given."""
+    return getattr(args, flag.lstrip("-").replace("-", "_"), None) is not None
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -137,7 +144,7 @@ def cmd_train(args):
     catalog = load_catalog(args.catalog) if args.catalog else mine(dataset.pairs,
                                                                    config.gamma)
     models = train(dataset.pairs, catalog, config.train, predictor=config.predictor)
-    save_models(models, args.out, config.train)
+    save_models(models, args.out)
     # a constant model (degenerate labels) has a NaN accuracy, which
     # ``sorted`` cannot order
     accs = sorted(m.dev_accuracy for m in models.values() if not math.isnan(m.dev_accuracy))
@@ -150,18 +157,11 @@ def cmd_train(args):
 
 def cmd_generate(args):
     dataset, kb, linker = _load_inputs(args)
-    config = args.config
-    catalog = load_catalog(args.catalog) if args.catalog else mine(dataset.pairs,
-                                                                   config.gamma)
-    models, classifier = {}, None
-    if config.setting == "rank-wo-sub":
-        classifier = train_structure_classifier(dataset.pairs, catalog, config.train)
-    elif args.models:
-        models = load_models(args.models)
-    else:
-        models = train(dataset.pairs, catalog, config.train, predictor=config.predictor)
-    generator = QueryGenerator(catalog, models, kb, config.merge, top_k=config.top_k,
-                               setting=config.setting, structure_classifier=classifier)
+    # no dev set: training holds out a slice of the dataset
+    generator = build_generator(
+        dataset.pairs, None, kb, args.config,
+        catalog=load_catalog(args.catalog) if args.catalog else None,
+        models=load_models(args.models) if args.models else None)
     if args.candidates:
         candidates = load_candidates(args.candidates)
         spans = sorted({c.span for c in candidates
@@ -171,9 +171,7 @@ def cmd_generate(args):
     rounds = [] if args.dump_merged else None
     trace = generator.generate(args.question, spans, candidates, rounds_out=rounds)
     if args.dump_ranked:
-        buf = StringIO()
-        write_ranked_jsonl(trace.ranked, buf)
-        write_text(args.dump_ranked, buf.getvalue())
+        write_json_lines(args.dump_ranked, ranked_records(trace.ranked))
     if args.dump_merged:
         write_json(args.dump_merged, rounds)
     print(f"question: {args.question}")
@@ -182,7 +180,7 @@ def cmd_generate(args):
     if top:
         print("\ntop substructure probabilities:")
     for key, p in top:
-        print(f"  {p:.3f}  {catalog.substructures[key].representative}")
+        print(f"  {p:.3f}  {generator.catalog.substructures[key].representative}")
     print("\nranked structures:")
     for s in trace.ranked[:5]:
         print(f"  {s.score:.3f} [{s.provenance}] {s.representative}")
@@ -265,6 +263,10 @@ def parse_args(argv=None):
         args.config = config = _pipeline_config(args)
     except ValueError as err:
         parser.error(str(err))
+    for flag, _, _, *artifact in FLAGS:
+        if artifact and _given(args, flag) and _given(args, artifact[0]):
+            parser.error(f"{flag} cannot be used with {artifact[0]}, "
+                         "which fixes what it sets")
     if getattr(args, "models", None) and config.setting == "rank-wo-sub":
         parser.error("--models cannot be used with --setting rank-wo-sub")
     if config.predictor == "oracle" and args.command in ("train", "generate"):

@@ -33,6 +33,7 @@ from .mining import (
     MAX_TRIPLES,
     Mention,
     QueryTooLargeError,
+    SubstructureCatalog,
     TrainingPair,
     contained_frequent_keys,
     mine,
@@ -185,11 +186,10 @@ def gold_candidates(pair: TrainingPair) -> list[LinkingCandidate]:
     for v in q.vertices:
         if v.id in q.order_values:
             continue
-        kind = {ENTITY: KIND_ENTITY, CLASS: KIND_CLASS, LITERAL: KIND_LITERAL}.get(v.kind)
-        if kind is None or (kind, v.surface) in seen:
+        if v.kind not in (ENTITY, CLASS, LITERAL) or (v.kind, v.surface) in seen:
             continue
-        seen.add((kind, v.surface))
-        out.append(LinkingCandidate(v.surface, kind, v.surface, 1.0))
+        seen.add((v.kind, v.surface))
+        out.append(LinkingCandidate(v.surface, v.kind, v.surface, 1.0))
     for name in q.user_labels:
         if (KIND_PROPERTY, name) not in seen:
             seen.add((KIND_PROPERTY, name))
@@ -348,19 +348,22 @@ class EvalReport:
                 f"P@5={p5_m:.3f}±{p5_s:.3f}")
 
 
-def build_generator(train_pairs, dev_pairs, kb: KnowledgeBase,
-                    config: PipelineConfig) -> QueryGenerator:
-    """Mine and train everything one fold needs."""
-    catalog = mine(train_pairs, config.gamma)
-    models = {}
+def build_generator(train_pairs, dev_pairs, kb: KnowledgeBase, config: PipelineConfig,
+                    catalog: SubstructureCatalog | None = None,
+                    models=None) -> QueryGenerator:
+    """Mine and train what ``config``'s setting and predictor family need
+    from ``train_pairs``, except a given ``catalog`` or substructure
+    ``models``."""
+    if catalog is None:
+        catalog = mine(train_pairs, config.gamma)
     classifier = None
     if config.setting == "rank-wo-sub":
         classifier = train_structure_classifier(train_pairs, catalog,
                                                 config.train, dev_pairs)
-    elif config.predictor != "oracle":
+    elif models is None and config.predictor != "oracle":
         models = train(train_pairs, catalog, config.train, dev_pairs,
                        predictor=config.predictor)
-    return QueryGenerator(catalog, models, kb, config.merge,
+    return QueryGenerator(catalog, models or {}, kb, config.merge,
                           top_k=config.top_k, setting=config.setting,
                           structure_classifier=classifier)
 

@@ -50,10 +50,11 @@ from .kb import (
 from .ranking import ScoredStructure
 from .sparql import serialize_query
 
-KIND_ENTITY = "entity"
+# a vertex slot's linking kind is its vertex kind
+KIND_ENTITY = ENTITY
 KIND_PROPERTY = "property"
-KIND_CLASS = "class"
-KIND_LITERAL = "literal"
+KIND_CLASS = CLASS
+KIND_LITERAL = LITERAL
 
 LINK_KINDS = (KIND_ENTITY, KIND_PROPERTY, KIND_CLASS, KIND_LITERAL)
 
@@ -150,12 +151,8 @@ def placeholder_slots(structure: QueryGraph) -> list[tuple[str, str]]:
     slots: list[tuple[str, str]] = []
     order_literals = set(structure.order_values)
     for v in structure.vertices:
-        if v.kind == ENTITY:
-            slots.append((KIND_ENTITY, v.id))
-        elif v.kind == CLASS:
-            slots.append((KIND_CLASS, v.id))
-        elif v.kind == LITERAL and v.id not in order_literals:
-            slots.append((KIND_LITERAL, v.id))
+        if v.kind in (ENTITY, CLASS) or (v.kind == LITERAL and v.id not in order_literals):
+            slots.append((v.kind, v.id))
     for name in structure.user_labels:
         slots.append((KIND_PROPERTY, name))
     return slots
@@ -197,14 +194,8 @@ def _fill(structure: QueryGraph, assignment: dict[tuple[str, str], str],
           target: str) -> QueryGraph:
     verts = []
     for v in structure.vertices:
-        if (KIND_ENTITY, v.id) in assignment:
-            verts.append(Vertex(v.id, ENTITY, assignment[(KIND_ENTITY, v.id)]))
-        elif (KIND_CLASS, v.id) in assignment:
-            verts.append(Vertex(v.id, CLASS, assignment[(KIND_CLASS, v.id)]))
-        elif (KIND_LITERAL, v.id) in assignment:
-            verts.append(Vertex(v.id, LITERAL, assignment[(KIND_LITERAL, v.id)]))
-        else:
-            verts.append(v)
+        symbol = assignment.get((v.kind, v.id))
+        verts.append(v if symbol is None else Vertex(v.id, v.kind, symbol))
     triples = []
     for t in structure.triples:
         label = t.label

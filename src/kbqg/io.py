@@ -53,6 +53,11 @@ def write_json(path, doc) -> None:
     write_text(path, json.dumps(doc, indent=1))
 
 
+def write_json_lines(path, docs) -> None:
+    """One compact JSON document per line."""
+    write_text(path, "".join(json.dumps(doc) + "\n" for doc in docs))
+
+
 def write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)

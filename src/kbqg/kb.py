@@ -164,18 +164,6 @@ class AnswerSet:
                 isinstance(self.aggregate, int) and self.aggregate == 0)
         return not self.values
 
-    def __eq__(self, other):
-        if not isinstance(other, AnswerSet):
-            return NotImplemented
-        if self.is_aggregate != other.is_aggregate:
-            return False
-        if self.is_aggregate:
-            return self.aggregate == other.aggregate
-        return self.values == other.values
-
-    def __hash__(self):
-        return hash((self.values, self.is_aggregate))
-
 
 def format_answer(ans: AnswerSet | None) -> str | None:
     """One-line text of an answer: ``{a, b}`` (sorted) for a set,

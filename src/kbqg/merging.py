@@ -37,8 +37,10 @@ output:
   exactly as ``rank_existing`` scores a mined structure.
 * Bounds before keys. Every union of two inputs contains the frequent
   substructures that either input contains, so its score is at most U,
-  ``ranking.score_bound`` of those: their score with every substructure
-  predicted above 0.5 added. Once a round has ``beam`` members, let w be
+  the score of those with every substructure predicted above 0.5 added:
+  each other substructure then gets the larger of its two terms, and
+  float addition and ``exp`` are non-decreasing, so the bound holds exactly,
+  not just up to rounding. Once a round has ``beam`` members, let w be
   the last of its best ``beam`` (by score, then sort key); the round's
   ``beam``-th best member only gets better from then on. A union whose
   ``(-U, sort key)`` comes after w's ranks strictly behind it, so it
@@ -325,7 +327,7 @@ def merge_substructures(probs: dict[StructureKey, float],
         for skey in contained:
             for mkey in sorted(current, key=StructureKey.sort_key):
                 known = patterns[skey] | patterns[mkey]
-                # U, ``ranking.score_bound(known, ...)`` with ``likely`` found once
+                # U: the best score of any pattern that contains ``known``
                 bound = score_containment(known | likely, probs, catalog)
                 # the member that a union must beat, once the beam is full
                 w = ranked[-1] if len(ranked) == cfg.beam else None

@@ -60,24 +60,26 @@ def softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def param_shapes(vocab_size: int, d_e: int, d_h: int, n_out: int) -> dict[str, tuple]:
+    """The shape of each parameter tensor of one model."""
+    return {"emb": (vocab_size, d_e), "W_f": (4 * d_h, d_e + d_h), "b_f": (4 * d_h,),
+            "W_b": (4 * d_h, d_e + d_h), "b_b": (4 * d_h,), "W_att": (2 * d_h, 2 * d_h),
+            "b_att": (2 * d_h,), "v_att": (2 * d_h,), "W_out": (n_out, 2 * d_h),
+            "b_out": (n_out,)}
+
+
 def init_params(vocab_size: int, d_e: int, d_h: int, n_out: int,
                 rng: np.random.Generator) -> dict[str, np.ndarray]:
-    def glorot(shape):
-        bound = np.sqrt(6.0 / (shape[0] + shape[-1]))
+    def init(name, shape):
+        if name == "emb":
+            return rng.normal(0.0, 0.1, size=shape)
+        if name.startswith("b_"):
+            return np.zeros(shape)
+        bound = np.sqrt(6.0 / (shape[0] + shape[-1]))  # Glorot
         return rng.uniform(-bound, bound, size=shape)
 
-    params = {
-        "emb": rng.normal(0.0, 0.1, size=(vocab_size, d_e)),
-        "W_f": glorot((4 * d_h, d_e + d_h)),
-        "b_f": np.zeros(4 * d_h),
-        "W_b": glorot((4 * d_h, d_e + d_h)),
-        "b_b": np.zeros(4 * d_h),
-        "W_att": glorot((2 * d_h, 2 * d_h)),
-        "b_att": np.zeros(2 * d_h),
-        "v_att": glorot((2 * d_h,)),
-        "W_out": glorot((n_out, 2 * d_h)),
-        "b_out": np.zeros(n_out),
-    }
+    params = {name: init(name, shape)
+              for name, shape in param_shapes(vocab_size, d_e, d_h, n_out).items()}
     # start with an open forget gate
     params["b_f"][d_h:2 * d_h] = 1.0
     params["b_b"][d_h:2 * d_h] = 1.0

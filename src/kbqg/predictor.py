@@ -28,12 +28,11 @@ minibatch in one batched pass with one Adam update.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +133,11 @@ def encode(seq: TokenSequence, vocab: dict[str, int]) -> list[int]:
     return [vocab.get(tok, unk) for tok in seq.tokens]
 
 
+def _d_h(params: dict[str, np.ndarray]) -> int:
+    """The BiLSTM hidden size of a network's parameters."""
+    return params["b_f"].shape[-1] // 4
+
+
 def _model_seed(base_seed: int, key: StructureKey) -> np.random.Generator:
     digest = hashlib.sha256(key.canonical.encode()).digest()
     return np.random.default_rng([base_seed, int.from_bytes(digest[:8], "big")])
@@ -149,14 +153,12 @@ class PredictorModel:
 
     vocab: dict[str, int]
     params: dict[str, np.ndarray]
-    d_e: int
-    d_h: int
     dev_accuracy: float = float("nan")
 
     def forward(self, seq: TokenSequence):
         """Probability that the substructure is contained, plus the
         attention weights over the tokens."""
-        cache = nn.forward(self.params, encode(seq, self.vocab), self.d_h)
+        cache = nn.forward(self.params, encode(seq, self.vocab), _d_h(self.params))
         return cache["prob"], cache["alpha"].copy()
 
     def predict_proba(self, seq: TokenSequence) -> float:
@@ -407,8 +409,7 @@ def train(pairs, catalog: SubstructureCatalog, cfg: TrainConfig,
         for shard, (params, accuracies) in zip(shards, fitted):
             for j, (i, accuracy) in enumerate(zip(shard, accuracies)):
                 models[keys[i]] = PredictorModel(
-                    vocab, {name: p[j].copy() for name, p in params.items()},
-                    cfg.d_e, cfg.d_h, accuracy)
+                    vocab, {name: p[j].copy() for name, p in params.items()}, accuracy)
     return {key: models[key] for key in keys}
 
 
@@ -436,12 +437,11 @@ def predict_all(models: dict[StructureKey, object],
 class StructureClassifier:
     vocab: dict[str, int]
     params: dict[str, np.ndarray]
-    d_h: int
     keys: list[StructureKey]
     dev_accuracy: float = float("nan")
 
     def probabilities(self, seq: TokenSequence) -> np.ndarray:
-        cache = nn.forward(self.params, encode(seq, self.vocab), self.d_h)
+        cache = nn.forward(self.params, encode(seq, self.vocab), _d_h(self.params))
         return cache["class_probs"]
 
     def rank(self, seq: TokenSequence, catalog: SubstructureCatalog):
@@ -466,69 +466,87 @@ def train_structure_classifier(pairs, catalog: SubstructureCatalog,
     params, (accuracy,) = _fit(params, seqs, np.array([labels], dtype=int), dev_seqs,
                                np.array([dev_labels], dtype=int), vocab, cfg, [rng])
     return StructureClassifier(vocab, {name: p[0].copy() for name, p in params.items()},
-                               cfg.d_h, keys, accuracy)
+                               keys, accuracy)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+_KINDS = {PredictorModel: "bilstm", BowLogisticModel: "bow", ConstantModel: "constant"}
 
 
-def save_models(models: dict[StructureKey, object], directory,
-                cfg: TrainConfig | None = None) -> None:
-    """One .npz file per substructure plus a manifest.json index."""
+def save_models(models: dict[StructureKey, object], directory) -> None:
+    """A ``manifest.json`` entry per substructure, with its key, kind and
+    dev accuracy, and the probability of a constant model or the
+    vocabulary of a learned one, whose arrays go to the ``.npz`` file
+    the entry names."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {"version": MODEL_VERSION,
-                "train_config": asdict(cfg) if cfg else None,
-                "models": []}
+    entries = []
     for i, key in enumerate(sorted(models, key=StructureKey.sort_key)):
         model = models[key]
-        fname = f"model_{i:04d}.npz"
-        meta = {"key": key_to_json(key), "dev_accuracy": model.dev_accuracy}
-        arrays = {}
-        if isinstance(model, PredictorModel):
-            meta.update(kind="bilstm", d_e=model.d_e, d_h=model.d_h,
-                        vocab=model.vocab)
-            arrays = model.params
-        elif isinstance(model, BowLogisticModel):
-            meta.update(kind="bow", vocab=model.vocab)
-            arrays = {"weights": model.weights}
-        elif isinstance(model, ConstantModel):
-            meta.update(kind="constant", probability=model.probability)
-        else:
+        if type(model) not in _KINDS:
             raise TypeError(f"cannot save {type(model).__name__}")
-        np.savez(directory / fname, __meta__=np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8), **arrays)
-        manifest["models"].append({"file": fname, "key": key_to_json(key),
-                                   "dev_accuracy": model.dev_accuracy,
-                                   "kind": meta["kind"]})
-    write_json(directory / "manifest.json", manifest)
+        entry = {"key": key_to_json(key), "kind": _KINDS[type(model)],
+                 "dev_accuracy": model.dev_accuracy}
+        if isinstance(model, ConstantModel):
+            entry["probability"] = model.probability
+        else:
+            entry.update(vocab=model.vocab, file=f"model_{i:04d}.npz")
+            arrays = (model.params if isinstance(model, PredictorModel)
+                      else {"weights": model.weights})
+            np.savez(directory / entry["file"], **arrays)
+        entries.append(entry)
+    write_json(directory / "manifest.json", {"version": MODEL_VERSION, "models": entries})
+
+
+def _array_shapes(kind: str, vocab: dict[str, int], arrays) -> dict[str, tuple]:
+    """The shape of each array of a ``kind`` model over ``vocab``. A
+    BiLSTM's sizes are read from the last axis of its ``emb``, ``b_f`` and
+    ``b_out``."""
+    if kind == "bow":
+        return {"weights": (len(vocab) + 1,)}
+    d_e, d_h4, n_out = (arrays[name].shape[-1] if name in arrays and arrays[name].ndim
+                        else 0 for name in ("emb", "b_f", "b_out"))
+    return nn.param_shapes(len(vocab), d_e, d_h4 // 4, n_out)
 
 
 def load_models(directory) -> dict[StructureKey, object]:
+    """The models that ``save_models`` wrote to ``directory``."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     manifest = read_json(manifest_path, MODEL_VERSION)
-    models: dict[StructureKey, object] = {}
     with located(manifest_path, "models"):
-        for i, item in enumerate(manifest["models"]):
-            with located(manifest_path, f"models[{i}]"):
-                path = directory / item["file"]
-            with located(path, 1), np.load(path) as data, located(path, "__meta__"):
-                meta = json.loads(bytes(data["__meta__"]).decode())
-                key = key_from_json(meta["key"])
-                if meta["kind"] == "bilstm":
-                    params = {k: data[k] for k in data.files if k != "__meta__"}
-                    model = PredictorModel(meta["vocab"], params, meta["d_e"],
-                                           meta["d_h"], meta["dev_accuracy"])
-                elif meta["kind"] == "bow":
-                    model = BowLogisticModel(meta["vocab"], data["weights"],
-                                             meta["dev_accuracy"])
-                elif meta["kind"] == "constant":
-                    model = ConstantModel(meta["probability"], meta["dev_accuracy"])
-                else:
-                    raise ValueError(f"unknown model kind {meta['kind']!r}")
-                models[key] = model
+        entries = list(manifest["models"])
+    models: dict[StructureKey, object] = {}
+    for i, entry in enumerate(entries):
+        with located(manifest_path, f"models[{i}]"):
+            key = key_from_json(entry["key"])
+            kind, accuracy = entry["kind"], float(entry["dev_accuracy"])
+            if kind == "constant":
+                probability = float(entry["probability"])
+                if not 0.0 <= probability <= 1.0:
+                    raise ValueError(f"probability {probability} is outside [0, 1]")
+                models[key] = ConstantModel(probability, accuracy)
+                continue
+            if kind not in ("bilstm", "bow"):
+                raise ValueError(f"unknown model kind {kind!r}")
+            vocab, path = entry["vocab"], directory / entry["file"]
+            if (not isinstance(vocab, dict) or UNK_TOKEN not in vocab
+                    or sorted(vocab.values()) != list(range(len(vocab)))):
+                raise ValueError("vocab must give <unk> and each other word one of "
+                                 "the ids 0 to len(vocab) - 1")
+        with located(path, 1), np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        with located(path, "arrays"):
+            shapes = _array_shapes(kind, vocab, arrays)
+            if arrays.keys() != shapes.keys():
+                raise ValueError(f"expected the arrays {sorted(shapes)}, found {sorted(arrays)}")
+            for name, shape in shapes.items():
+                if arrays[name].shape != shape:
+                    raise ValueError(f"array {name!r} has shape {arrays[name].shape}, "
+                                     f"expected {shape}")
+        models[key] = (PredictorModel(vocab, arrays, accuracy) if kind == "bilstm"
+                       else BowLogisticModel(vocab, arrays["weights"], accuracy))
     return models

@@ -14,7 +14,6 @@ scores exactly 0 and 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -73,19 +72,6 @@ def score_containment(contained: frozenset[StructureKey],
     return math.exp(total)
 
 
-def score_bound(known: frozenset[StructureKey],
-                probs: dict[StructureKey, float],
-                catalog: SubstructureCatalog) -> float:
-    """An upper bound on ``score_containment(pattern, ...)`` over every
-    pattern that contains ``known``: the score of ``known`` plus every
-    substructure more likely contained than not, which takes for each
-    unknown substructure the larger of its two terms. Each term is at
-    least the true one and float addition and ``exp`` are non-decreasing,
-    so the bound holds exactly, not just up to rounding."""
-    likely = {key for key in catalog.frequent_keys if probs.get(key, 0.0) > 0.5}
-    return score_containment(known | likely, probs, catalog)
-
-
 def containment_pattern(g: QueryGraph, catalog: SubstructureCatalog,
                         key: StructureKey | None = None) -> frozenset[StructureKey]:
     """Frequent substructures contained in ``g``; see ``contained_frequent_keys``."""
@@ -107,14 +93,9 @@ def rank_existing(probs: dict[StructureKey, float],
     return scored
 
 
-def write_ranked_jsonl(ranked: list[ScoredStructure], fp) -> None:
-    """Emit a ranked structure list as JSON lines:
+def ranked_records(ranked: list[ScoredStructure]) -> list[dict]:
+    """A ranked structure list as JSON records:
     {rank, key, score, provenance, representative}."""
-    for rank, s in enumerate(ranked):
-        fp.write(json.dumps({
-            "rank": rank,
-            "key": s.key.canonical,
-            "score": s.score,
-            "provenance": s.provenance,
-            "representative": graph_to_json(s.representative),
-        }) + "\n")
+    return [{"rank": rank, "key": s.key.canonical, "score": s.score,
+             "provenance": s.provenance, "representative": graph_to_json(s.representative)}
+            for rank, s in enumerate(ranked)]

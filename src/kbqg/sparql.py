@@ -182,13 +182,8 @@ class _Parser:
             self.next()
             kind, val, pos = self.next()
             if kind != "pname" or not val.endswith(":"):
-                if kind == "pname" and ":" in val:
-                    # "dbo:" tokenizes as pname with empty local part
-                    prefix = val.split(":", 1)[0]
-                else:
-                    raise QuerySyntaxError(f"bad PREFIX declaration at position {pos}")
-            else:
-                prefix = val[:-1]
+                raise QuerySyntaxError(f"bad PREFIX declaration at position {pos}")
+            prefix = val[:-1]
             kind2, iri, pos2 = self.next()
             if kind2 != "iri":
                 raise QuerySyntaxError(f"expected IRI at position {pos2}")

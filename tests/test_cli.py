@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from kbqg import cli
+from kbqg import cli, evaluation
 from kbqg.cli import main
 from kbqg.evaluation import PipelineConfig
 from kbqg.grounding import LinkingCandidate, save_candidates
@@ -30,11 +30,10 @@ def test_train_and_generate(tmp_path, capsys):
     catalog = tmp_path / "catalog.json"
     models = tmp_path / "models"
     main(["mine", "--gamma", "2", "--out", str(catalog)])
-    main(["train", "--gamma", "2", "--catalog", str(catalog),
-          "--predictor", "bow", "--out", str(models)])
+    main(["train", "--catalog", str(catalog), "--predictor", "bow", "--out", str(models)])
     assert (models / "manifest.json").exists()
     capsys.readouterr()
-    main(["generate", "--gamma", "2", "--catalog", str(catalog),
+    main(["generate", "--catalog", str(catalog),
           "--models", str(models), "--setting", "rank-w-sub",
           "who directed The Shining?"])
     out = capsys.readouterr().out
@@ -74,7 +73,7 @@ def test_mine_and_train_read_only_the_dataset(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.DictionaryLinker, "from_file", unused)
     catalog = tmp_path / "catalog.json"
     main(["mine", "--gamma", "2", "--out", str(catalog)])
-    main(["train", "--gamma", "2", "--catalog", str(catalog), "--predictor", "bow",
+    main(["train", "--catalog", str(catalog), "--predictor", "bow",
           "--out", str(tmp_path / "models")])
     out = capsys.readouterr().out
     assert "catalog written to" in out
@@ -110,7 +109,7 @@ def test_generate_dump_merged_rounds_from_a_stateless_generator(tmp_path, capsys
                              and all(after[k] is v for k, v in before.items()))
             return trace
 
-    monkeypatch.setattr(cli, "QueryGenerator", Checked)
+    monkeypatch.setattr(evaluation, "QueryGenerator", Checked)
     dump = tmp_path / "merged.json"
     main(["generate", "--setting", "full", "--predictor", "bow", "--gamma", "2",
           "--dump-merged", str(dump), "how many films did Stanley Kubrick direct?"])
@@ -130,7 +129,7 @@ def test_generate_rank_wo_sub_ranks_with_a_structure_classifier(tmp_path, capsys
     def no_substructure_models(*args, **kwargs):
         raise AssertionError("rank-wo-sub trains no substructure predictors")
 
-    monkeypatch.setattr(cli, "train", no_substructure_models)
+    monkeypatch.setattr(evaluation, "train", no_substructure_models)
     main(["generate", "--setting", "rank-wo-sub", "--predictor", "bow", "--gamma", "2",
           "who directed Jaws?"])
     out = capsys.readouterr().out
@@ -278,6 +277,24 @@ def test_every_shared_flag_is_refused_by_the_commands_that_do_not_read_it(capsys
             main([command, flag, "1"] + POSITIONAL.get(command, []))
         assert exit_info.value.code == 2, (command, flag)
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# (command, flag, the artifact flag whose saved file fixes what the flag sets)
+MOOT = [("train", "--gamma", "--catalog"), ("generate", "--gamma", "--catalog")] + [
+    ("generate", flag, "--models") for flag in sorted(TRAINING)]
+
+
+@pytest.mark.parametrize("command, flag, artifact", MOOT,
+                         ids=[f"{c}{f}-with{a}" for c, f, a in MOOT])
+def test_a_flag_that_a_saved_artifact_makes_moot_is_a_usage_error(tmp_path, capsys,
+                                                                  command, flag, artifact):
+    # a missing dataset and artifact show that nothing is read first
+    argv = [command, flag, CONFIG_FLAGS[flag][0], artifact, str(tmp_path / "missing"),
+            "--dataset", str(tmp_path / "missing.json")] + POSITIONAL.get(command, [])
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"{flag} cannot be used with {artifact}" in capsys.readouterr().err
 
 
 def test_noisy_linking_command(tmp_path, capsys):

@@ -13,13 +13,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kbqg import nn
 from kbqg.canon import canonical_key
 from kbqg.evaluation import load_dataset
 from kbqg.grounding import DictionaryLinker, LinkingCandidate, load_candidates, save_candidates
 from kbqg.io import InputError, read_json
 from kbqg.kb import load_kb, load_schema
-from kbqg.mining import key_to_json, load_catalog, mine, save_catalog
-from kbqg.predictor import ConstantModel, load_models, save_models
+from kbqg.mining import key_from_json, load_catalog, mine, save_catalog
+from kbqg.predictor import (
+    BowLogisticModel,
+    ConstantModel,
+    PredictorModel,
+    load_models,
+    preprocess,
+    save_models,
+)
 from kbqg.sparql import load_prefixes
 from kbqg.toydata import build_dataset, data_dir
 
@@ -35,6 +43,12 @@ MENTION_WITHOUT_START = dict(GOOD_RECORD, mentions=[{"end": 17}])
 MENTION_PAST_THE_END = dict(GOOD_RECORD, mentions=[{"start": 13, "end": 40}])
 MENTION_SURFACE_MISMATCH = dict(GOOD_RECORD, mentions=[{"start": 13, "end": 17,
                                                         "surface": "Duel"}])
+# manifest entries of a constant model and of a bow model (without the
+# name of its .npz file)
+KEY = {"canonical": "x", "triple_count": 1, "agg_count": 0}
+CONSTANT_ENTRY = {"key": KEY, "kind": "constant", "dev_accuracy": 1.0, "probability": 0.5}
+BOW_ENTRY = {"key": KEY, "kind": "bow", "dev_accuracy": 1.0,
+             "vocab": {"<entity>": 0, "<unk>": 1}}
 
 # (loader, file name, content, where the error is)
 MALFORMED = {
@@ -81,9 +95,33 @@ MALFORMED = {
         load_catalog, "catalog.json", json.dumps({"version": 1, "structures": 5}),
         "structures"),
     "models-wrong-version": (load_manifest, "manifest.json", '{"models": []}', "version"),
+    "models-version-1": (load_manifest, "manifest.json", '{"version": 1, "models": []}',
+                         "version"),
     "models-entry-without-file": (
         load_manifest, "manifest.json",
-        json.dumps({"version": 1, "models": [{"kind": "constant"}]}), "models[0]"),
+        json.dumps({"version": 2, "models": [BOW_ENTRY]}), "models[0]"),
+    "models-vocab-id-out-of-range": (
+        load_manifest, "manifest.json",
+        json.dumps({"version": 2, "models": [dict(BOW_ENTRY, file="m.npz",
+                                                  vocab={"<entity>": 0, "<unk>": 2})]}),
+        "models[0]"),
+    "models-vocab-without-unk": (
+        load_manifest, "manifest.json",
+        json.dumps({"version": 2, "models": [dict(BOW_ENTRY, file="m.npz",
+                                                  vocab={"<entity>": 0, "jaws": 1})]}),
+        "models[0]"),
+    "models-probability-above-one": (
+        load_manifest, "manifest.json",
+        json.dumps({"version": 2, "models": [dict(CONSTANT_ENTRY, probability=1.5)]}),
+        "models[0]"),
+    "models-probability-not-a-number": (
+        load_manifest, "manifest.json",
+        json.dumps({"version": 2, "models": [dict(CONSTANT_ENTRY, probability="high")]}),
+        "models[0]"),
+    "models-unknown-kind": (
+        load_manifest, "manifest.json",
+        json.dumps({"version": 2, "models": [dict(BOW_ENTRY, kind="other", file="m.npz")]}),
+        "models[0]"),
     "candidates-not-an-array": (load_candidates, "cands.json", '{"mention": "x"}', 1),
     "candidates-group-without-mention": (
         load_candidates, "cands.json",
@@ -118,24 +156,93 @@ def test_malformed_input_names_file_and_place(tmp_path, case):
     assert info.value.path == path and info.value.where == where
 
 
-def test_load_models_names_the_model_file_of_a_bad_model(tmp_path):
-    key = mine(build_dataset(), 2).frequent_keys[0]
-    save_models({key: ConstantModel(0.5, 1.0)}, tmp_path)
-    assert load_models(tmp_path)[key].probability == 0.5
-    npz = tmp_path / json.loads((tmp_path / "manifest.json").read_text())["models"][0]["file"]
-    meta = {"key": key_to_json(key), "dev_accuracy": 1.0, "kind": "other"}
-    np.savez(npz, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
-    with pytest.raises(InputError, match="unknown model kind 'other'") as info:
+@pytest.fixture
+def models_of_each_kind():
+    bilstm, bow, constant = mine(build_dataset(), 2).frequent_keys[:3]
+    vocab = {"<entity>": 0, "<unk>": 1, "who": 2, "directed": 3}
+    rng = np.random.default_rng(5)
+    return {bilstm: PredictorModel(vocab, nn.init_params(len(vocab), 3, 2, 1, rng), 0.75),
+            bow: BowLogisticModel(vocab, rng.normal(size=len(vocab) + 1), 0.5),
+            constant: ConstantModel(0.3)}
+
+
+def arrays_of(model) -> dict:
+    if isinstance(model, PredictorModel):
+        return model.params
+    return {"weights": model.weights} if isinstance(model, BowLogisticModel) else {}
+
+
+def test_models_of_each_kind_round_trip(tmp_path, models_of_each_kind):
+    save_models(models_of_each_kind, tmp_path)
+    entries = read_json(tmp_path / "manifest.json", 2)["models"]
+    # a constant model gets no file, and a file holds only its model's arrays
+    assert len(list(tmp_path.glob("*.npz"))) == 2
+    for entry in entries:
+        model = models_of_each_kind[key_from_json(entry["key"])]
+        if isinstance(model, ConstantModel):
+            assert "file" not in entry
+        else:
+            with np.load(tmp_path / entry["file"]) as data:
+                assert sorted(data.files) == sorted(arrays_of(model))
+    loaded = load_models(tmp_path)
+    assert loaded.keys() == models_of_each_kind.keys()
+    seq = preprocess("who directed Jaws?", [(13, 17)])
+    for key, model in models_of_each_kind.items():
+        assert type(loaded[key]) is type(model)
+        assert loaded[key].predict_proba(seq) == model.predict_proba(seq)
+        assert np.array_equal(loaded[key].dev_accuracy, model.dev_accuracy, equal_nan=True)
+        assert arrays_of(loaded[key]).keys() == arrays_of(model).keys()
+        for name, array in arrays_of(model).items():
+            np.testing.assert_array_equal(arrays_of(loaded[key])[name], array)
+
+
+def rewrite_arrays(directory, kind, edit):
+    """Apply ``edit`` to the arrays of the saved ``kind`` model; its file."""
+    entry = next(e for e in read_json(directory / "manifest.json")["models"]
+                 if e["kind"] == kind)
+    path = directory / entry["file"]
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+    return path
+
+
+def test_load_models_names_the_model_file_of_a_bad_model(tmp_path, models_of_each_kind):
+    save_models(models_of_each_kind, tmp_path)
+    npz = rewrite_arrays(tmp_path, "bilstm", lambda arrays: arrays.pop("W_att"))
+    with pytest.raises(InputError, match="W_att") as info:
         load_models(tmp_path)
-    assert str(info.value).startswith(f"{npz}:__meta__: ")
+    assert str(info.value).startswith(f"{npz}:arrays: ")
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("bilstm", lambda a: a.update(extra=np.zeros(1)), "found .*'extra'"),
+    ("bilstm", lambda a: a.update(emb=a["emb"][:-1]),
+     r"'emb' has shape \(3, 3\), expected \(4, 3\)"),
+    ("bilstm", lambda a: a.update(emb=np.vstack([a["emb"], a["emb"]])), "'emb' has shape"),
+    ("bilstm", lambda a: a.update(W_att=a["W_att"][:, :2]), "'W_att' has shape"),
+    ("bilstm", lambda a: a.update(b_f=a["b_f"][:-1]), "has shape"),
+    ("bow", lambda a: a.update(weights=a["weights"][:-1]),
+     r"'weights' has shape \(4,\), expected \(5,\)"),
+    ("bow", lambda a: a.update(weights=a["weights"][None]), "'weights' has shape"),
+], ids=["bilstm-extra-array", "bilstm-emb-row-missing", "bilstm-emb-rows-doubled",
+        "bilstm-W_att-shape", "bilstm-hidden-size", "bow-weights-short", "bow-weights-2d"])
+def test_load_models_rejects_arrays_that_do_not_fit_the_model(tmp_path, models_of_each_kind,
+                                                               kind, edit, message):
+    save_models(models_of_each_kind, tmp_path)
+    npz = rewrite_arrays(tmp_path, kind, edit)
+    with pytest.raises(InputError, match=message) as info:
+        load_models(tmp_path)
+    assert info.value.path == npz and info.value.where == "arrays"
 
 
 @pytest.mark.parametrize("content", [b"plain text\n", b"", b"PK\x03\x04truncated"],
                          ids=["text", "empty", "truncated-zip"])
-def test_load_models_names_a_model_file_that_is_not_an_archive(tmp_path, content):
-    key = mine(build_dataset(), 2).frequent_keys[0]
-    save_models({key: ConstantModel(0.5, 1.0)}, tmp_path)
-    npz = tmp_path / "model_0000.npz"
+def test_load_models_names_a_model_file_that_is_not_an_archive(tmp_path, content,
+                                                                models_of_each_kind):
+    save_models(models_of_each_kind, tmp_path)
+    npz = rewrite_arrays(tmp_path, "bow", lambda arrays: None)
     npz.write_bytes(content)
     with pytest.raises(InputError) as info:
         load_models(tmp_path)

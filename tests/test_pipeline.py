@@ -48,7 +48,7 @@ def test_generator_rejects_models_missing_from_a_saved_models_dir(tmp_path):
     catalog = mine(pairs, 2)
     kb = build_kb()
     cfg = TrainConfig()
-    save_models(train(pairs, catalog, cfg, predictor="bow"), tmp_path, cfg)
+    save_models(train(pairs, catalog, cfg, predictor="bow"), tmp_path)
     QueryGenerator(catalog, load_models(tmp_path), kb)
     manifest_path = tmp_path / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))

@@ -147,7 +147,7 @@ def test_model_save_load_roundtrip(tmp_path):
     pairs = _keyword_corpus()
     catalog = mine(pairs, 2)
     models = train(pairs, catalog, small_cfg())
-    save_models(models, tmp_path / "models", small_cfg())
+    save_models(models, tmp_path / "models")
     loaded = load_models(tmp_path / "models")
     assert set(loaded) == set(models)
     seq = preprocess("how many gadgets did Acme make?")

@@ -138,18 +138,18 @@ def test_ranking_is_iteration_order_independent():
     assert first == second
 
 
-def test_ranked_jsonl_output():
-    import io
+def test_ranked_jsonl_output(tmp_path):
     import json
 
-    from kbqg.ranking import write_ranked_jsonl
+    from kbqg.io import write_json_lines
+    from kbqg.ranking import ranked_records
 
     catalog = two_fragment_catalog()
     probs = {k: 0.7 for k in catalog.substructures}
     ranked = rank_existing(probs, catalog)
-    buf = io.StringIO()
-    write_ranked_jsonl(ranked, buf)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
+    path = tmp_path / "ranked.jsonl"
+    write_json_lines(path, ranked_records(ranked))
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [l["rank"] for l in lines] == [0, 1]
     assert all({"key", "score", "provenance", "representative"} <= set(l)
                for l in lines)

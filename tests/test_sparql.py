@@ -97,6 +97,10 @@ def test_syntax_errors():
         parse_query("SELECT ?x WHERE { ?x :p }")
     with pytest.raises(QuerySyntaxError):
         parse_query("")
+    # a declared prefix is a name that ends in ":", with no local part
+    for declaration in ("PREFIX dbo:film <http://x/>", "PREFIX <http://x/>"):
+        with pytest.raises(QuerySyntaxError, match="bad PREFIX declaration"):
+            parse_query(declaration + " SELECT ?x WHERE { ?x dbo:director :E }")
 
 
 def test_ask_takes_first_variable_as_target():
